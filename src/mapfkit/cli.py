@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -51,8 +52,10 @@ def _time_budget(text: str) -> float | None:
     if text.lower() == "none":
         return None
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("time budget must be positive or 'none'")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "time budget must be positive and finite, or 'none'"
+        )
     return value
 
 

@@ -8,7 +8,6 @@ integers instead of coordinates.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -237,14 +236,19 @@ def parse_map(text: str) -> GridMap:
 def bfs_dist_table(graph: VertexGraph, target: int) -> DistTable:
     """Exact BFS shortest-path lengths from all vertices to ``target``."""
     graph.check_vertex(target)
-    dist = [UNREACHABLE] * graph.num_vertices
+    adjacency = graph.adjacency
+    dist = [UNREACHABLE] * len(adjacency)
     dist[target] = 0
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for u in graph.neighbors(v):
-            if dist[u] == UNREACHABLE:
-                dist[u] = d
-                queue.append(u)
+    frontier = [target]
+    d = 0
+    while frontier:
+        d += 1
+        reached: list[int] = []
+        add = reached.append
+        for v in frontier:
+            for u in adjacency[v]:
+                if dist[u] == UNREACHABLE:
+                    dist[u] = d
+                    add(u)
+        frontier = reached
     return DistTable(target=target, dist=tuple(dist))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -129,6 +130,12 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not 0.0 <= self.restart_probability <= 1.0:
             raise ValueError("restart_probability must be in [0, 1]")
+        if self.time_budget is not None and not (
+            math.isfinite(self.time_budget) and self.time_budget >= 0
+        ):
+            raise ValueError("time_budget must be a finite number >= 0 or None")
+        if self.iteration_budget is not None and self.iteration_budget < 0:
+            raise ValueError("iteration_budget must be >= 0 or None")
 
 
 def get_init_order(instance: Instance, dist_tables) -> list[int]:

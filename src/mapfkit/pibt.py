@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Config
 from .grid import UNREACHABLE, VertexGraph
@@ -91,6 +91,12 @@ class PibtContext:
                 raise ValueError("priorities length must match agent count")
             self.priorities = list(priorities)
         self.dist_tables = [graph.dist_table(g) for g in self.goals]
+        # Per-solve invariants of the hot loop, read once instead of per agent.
+        self._dists = [table.dist for table in self.dist_tables]
+        self._big = graph.num_vertices + 1
+        # Candidate lists are at most one longer than the largest degree.
+        longest = max(map(len, graph.adjacency), default=0) + 1
+        self._shuffle_steps = [_fisher_yates_steps(m) for m in range(longest + 1)]
         # Inheritance chains recurse at most one frame set per agent.
         needed = 3 * self.n + 500
         if sys.getrecursionlimit() < needed:
@@ -134,6 +140,34 @@ def pin_problem(graph: VertexGraph, q_from: Config, pins: dict[int, int]) -> str
     return None
 
 
+def _fisher_yates_steps(length: int) -> tuple[tuple[int, int], ...]:
+    """The (k, bits) pairs of ``Random.shuffle`` over ``length`` items.
+
+    For each k from the last index down to 1, ``Random._randbelow(k + 1)``
+    draws ``getrandbits(bits)`` with ``bits = (k + 1).bit_length()`` until
+    the value is at most k.
+    """
+    return tuple((k, (k + 1).bit_length()) for k in range(length - 1, 0, -1))
+
+
+def _shuffle(
+    items: list[int],
+    steps: tuple[tuple[int, int], ...],
+    getrandbits: Callable[[int], int],
+) -> None:
+    """Shuffle ``items`` in place exactly as ``Random.shuffle`` would.
+
+    ``steps`` is ``_fisher_yates_steps(len(items))`` and ``getrandbits`` the
+    bound method of the generator; the draws, and so the permutation and
+    the generator's state afterwards, are those of ``rng.shuffle(items)``.
+    """
+    for k, bits in steps:
+        r = getrandbits(bits)
+        while r > k:
+            r = getrandbits(bits)
+        items[k], items[r] = items[r], items[k]
+
+
 def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
     """Compute one connected successor configuration, or None on failure.
 
@@ -151,36 +185,40 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
     if problem is not None:
         raise PinError(problem)
 
-    graph = ctx.graph
     adjacency = ctx._adjacency
-    rng = ctx.rng
+    dists = ctx._dists
+    big = ctx._big
+    shuffle_steps = ctx._shuffle_steps
+    getrandbits = ctx.rng.getrandbits
+    swap_enabled = ctx.swap_enabled
     occ_from = ctx._occupied_from
     occ_to = ctx._occupied_to
     q_to: list[int] = [_UNDECIDED] * ctx.n
     touched_to: list[int] = []
+    touch = touched_to.append
 
     for i, v in enumerate(q_from):
         occ_from[v] = i
     for agent, v in request.pins.items():
         q_to[agent] = v
         occ_to[v] = agent
-        touched_to.append(v)
-
-    def reserve(v: int, agent: int) -> None:
-        occ_to[v] = agent
-        touched_to.append(v)
+        touch(v)
 
     def assign(i: int) -> bool:
         """Plan agent ``i``; returns False if it had to stay put blocked."""
         here = q_from[i]
-        dist = ctx.dist_tables[i].dist
-        big = graph.num_vertices + 1
         cand = [*adjacency[here], here]
-        rng.shuffle(cand)
-        cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
+        _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
+        dist = dists[i]
+        # Stable sort by distance; UNREACHABLE (-1) would sort first, so only
+        # then sort again with unreachable candidates ranked last. Ties keep
+        # their shuffled order either way.
+        cand.sort(key=dist.__getitem__)
+        if dist[cand[0]] == UNREACHABLE:
+            cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
 
         partner = _NO_AGENT
-        if ctx.swap_enabled:
+        if swap_enabled:
             partner_or_none = swap_required_and_possible(
                 ctx, i, q_from, cand[0], occ_from
             )
@@ -197,7 +235,8 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
             k = occ_from[v]
             if k != _NO_AGENT and k != i and q_to[k] == here:
                 continue  # the agent leaving v would be exchanged with i
-            reserve(v, i)
+            occ_to[v] = i
+            touch(v)
             q_to[i] = v
             if k != _NO_AGENT and k != i and q_to[k] == _UNDECIDED:
                 if not assign(k):
@@ -207,7 +246,8 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
                 _pull(partner, here)
             return True
         q_to[i] = here
-        reserve(here, i)
+        occ_to[here] = i
+        touch(here)
         return False
 
     def _pull(agent: int, target: int) -> None:
@@ -218,7 +258,8 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
         if k != _NO_AGENT and k != agent and q_to[k] == q_from[agent]:
             return
         q_to[agent] = target
-        reserve(target, agent)
+        occ_to[target] = agent
+        touch(target)
 
     if ctx.order is not None:
         order = ctx.order
@@ -258,15 +299,16 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
     return result
 
 
-def _best_step_toward(graph: VertexGraph, v: int, goal: int) -> int | None:
-    """Neighbor of ``v`` strictly closer to ``goal``; ties break by vertex id."""
-    table = graph.dist_table(goal)
+def _best_step_toward(
+    adjacency: Sequence[Sequence[int]], table: Sequence[int], v: int
+) -> int | None:
+    """Neighbor of ``v`` strictly closer to ``table``'s target; ties break by id."""
     here = table[v]
     if here == UNREACHABLE:
         return None
     best: int | None = None
     best_d = here
-    for u in graph.neighbors(v):
+    for u in adjacency[v]:
         d = table[u]
         if d == UNREACHABLE or d >= here:
             continue
@@ -278,7 +320,7 @@ def _best_step_toward(graph: VertexGraph, v: int, goal: int) -> int | None:
 def _swap_required(
     ctx: PibtContext,
     pusher_goal: int,
-    retreater_goal: int,
+    table: Sequence[int],
     v_pusher: int,
     v_retreater: int,
 ) -> bool:
@@ -290,18 +332,17 @@ def _swap_required(
     retreater's only improving move is through that goal. It is not required
     once the retreater reaches a vertex of degree above two. The walk is
     bounded by the vertex count; running out of budget counts as no.
+    ``table`` holds the distances to the retreater's goal.
     """
-    graph = ctx.graph
-    adjacency = graph.adjacency
-    table = graph.dist_table(retreater_goal).dist
-    big = graph.num_vertices + 1
-    for _ in range(graph.num_vertices):
+    adjacency = ctx._adjacency
+    big = ctx._big
+    for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
         deg = len(row)
         if deg == 1:
             return True
         if v_pusher == pusher_goal:
-            return _best_step_toward(graph, v_retreater, retreater_goal) == pusher_goal
+            return _best_step_toward(adjacency, table, v_retreater) == pusher_goal
         if deg > 2:
             return False
         cells = [u for u in row if u != v_pusher]
@@ -313,19 +354,21 @@ def _swap_required(
 
 
 def _swap_possible(
-    ctx: PibtContext, retreater_goal: int, v_advancer: int, v_retreater: int
+    ctx: PibtContext,
+    table: Sequence[int],
+    v_advancer: int,
+    v_retreater: int,
 ) -> bool:
     """Emulate the reversed direction: the retreater backs away instead.
 
     Possible once the retreater stands on a vertex of degree above two
     (room to rotate); impossible if it hits a dead end. Bounded like
-    :func:`_swap_required`.
+    :func:`_swap_required`; ``table`` holds the distances to the
+    retreater's goal.
     """
-    graph = ctx.graph
-    adjacency = graph.adjacency
-    table = graph.dist_table(retreater_goal).dist
-    big = graph.num_vertices + 1
-    for _ in range(graph.num_vertices):
+    adjacency = ctx._adjacency
+    big = ctx._big
+    for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
         deg = len(row)
         if deg > 2:
@@ -368,10 +411,10 @@ def swap_required_and_possible(
         return None
     if len(ctx._adjacency[best_candidate]) > 2:
         return None
-    gi, gj = ctx.goals[i], ctx.goals[j]
-    if _swap_required(ctx, gi, gj, q_from[i], q_from[j]) and _swap_possible(
-        ctx, gi, q_from[j], q_from[i]
-    ):
+    dists = ctx._dists
+    if _swap_required(
+        ctx, ctx.goals[i], dists[j], q_from[i], q_from[j]
+    ) and _swap_possible(ctx, dists[i], q_from[j], q_from[i]):
         return j
     return None
 
@@ -393,16 +436,15 @@ def _clear_target(
     here = q_from[i]
     if best_candidate == here:
         return None
-    gi = ctx.goals[i]
+    dists = ctx._dists
     for u in ctx._adjacency[here]:
         k = occupied_from[u]
         if k == _NO_AGENT or k == i:
             continue
         if q_from[k] == best_candidate:
             continue
-        gk = ctx.goals[k]
-        if _swap_required(ctx, gk, gi, here, best_candidate) and _swap_possible(
-            ctx, gk, best_candidate, here
-        ):
+        if _swap_required(
+            ctx, ctx.goals[k], dists[i], here, best_candidate
+        ) and _swap_possible(ctx, dists[k], best_candidate, here):
             return k
     return None

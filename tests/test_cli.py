@@ -47,6 +47,15 @@ class TestSolveCommand:
             main(["solve", "-m", fx("corridor.map")])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+    def test_bad_time_budget_is_usage_error(self, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["solve", "-m", fx("corridor.map"), "-i", fx("corridor.scen"),
+                 "-N", "1", "-t", budget]
+            )
+        assert exc.value.code == 64
+
     def test_unreadable_map_is_usage_error(self, capsys, tmp_path):
         code = main(
             ["solve", "-m", str(tmp_path / "nope.map"), "-i", fx("corridor.scen"),

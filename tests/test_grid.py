@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mapfkit import GridMap, MapParseError, UNREACHABLE, bfs_dist_table, parse_map
+from mapfkit import (
+    ExplicitGraph,
+    GridMap,
+    MapParseError,
+    UNREACHABLE,
+    bfs_dist_table,
+    parse_map,
+)
 from mapfkit.bench import generate_map
 
 from conftest import fixture_text
@@ -131,6 +140,71 @@ class TestDistTable:
 
     def test_dist_table_cached(self, tunnel_grid):
         assert tunnel_grid.dist_table(3) is tunnel_grid.dist_table(3)
+
+
+def reference_bfs(adjacency, target: int) -> list[int]:
+    """Plain queue-based BFS: the reference ``bfs_dist_table`` must equal."""
+    dist = [UNREACHABLE] * len(adjacency)
+    dist[target] = 0
+    queue = deque([target])
+    while queue:
+        v = queue.popleft()
+        for u in adjacency[v]:
+            if dist[u] == UNREACHABLE:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+@st.composite
+def grids_with_target(draw):
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    density = draw(st.floats(0.0, 0.6))
+    passable = [draw(st.floats(0.0, 1.0)) >= density for _ in range(width * height)]
+    # An optional fully blocked column cuts the map in two, so that cells
+    # unreachable from the target are common.
+    wall = draw(st.none() | st.integers(0, width - 1))
+    if wall is not None:
+        for y in range(height):
+            passable[y * width + wall] = False
+    if not any(passable):
+        passable[draw(st.integers(0, width * height - 1))] = True
+    grid = GridMap(width, height, passable)
+    target = draw(st.integers(0, grid.num_vertices - 1))
+    return grid, target
+
+
+@st.composite
+def explicit_graphs_with_target(draw):
+    n = draw(st.integers(1, 25))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        rows[a].add(b)
+        rows[b].add(a)
+    graph = ExplicitGraph([sorted(row) for row in rows])
+    return graph, draw(st.integers(0, n - 1))
+
+
+class TestBfsAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(grids_with_target())
+    def test_grid(self, case):
+        grid, target = case
+        table = bfs_dist_table(grid, target)
+        assert table.target == target
+        assert isinstance(table.dist, tuple)
+        assert list(table.dist) == reference_bfs(grid.adjacency, target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_graphs_with_target())
+    def test_explicit_graph(self, case):
+        graph, target = case
+        assert list(bfs_dist_table(graph, target).dist) == reference_bfs(
+            graph.adjacency, target
+        )
 
 
 def test_serialize_reparse_round_trip():

@@ -312,6 +312,24 @@ class TestRestartPolicy:
         with pytest.raises(ValueError):
             SolverOptions(restart_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            {"time_budget": -1.0},
+            {"time_budget": float("nan")},
+            {"time_budget": float("inf")},
+            {"iteration_budget": -5},
+        ],
+    )
+    def test_invalid_budgets_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budget"):
+            SolverOptions(**budgets)
+
+    def test_zero_budgets_accepted(self, tunnel_instance):
+        for budgets in ({"time_budget": 0.0}, {"iteration_budget": 0}):
+            out = solve(tunnel_instance, SolverOptions(**budgets))
+            assert out.status is SolveStatus.FAILURE
+
     def test_default_restart_rate_statistics(self):
         # the solver draws rng.random() < p per known-configuration find;
         # simulate that exact expression at the default rate

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mapfkit import (
+    ExplicitGraph,
     GridMap,
     PibtContext,
     PinError,
@@ -15,7 +17,12 @@ from mapfkit import (
     swap_required_and_possible,
     update_priorities,
 )
-from mapfkit.pibt import bumped_priorities, initial_priorities
+from mapfkit.pibt import (
+    _fisher_yates_steps,
+    _shuffle,
+    bumped_priorities,
+    initial_priorities,
+)
 
 from conftest import random_instance
 
@@ -61,6 +68,14 @@ class TestPriorityInheritance:
         goals = (4, 3)
         ctx = PibtContext(tunnel_grid, goals, seed=0)
         assert step(ctx, goals) == goals
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unreachable_candidates_rank_last(self, seed):
+        # One-way arc 0 -> 2: vertex 0 cannot be reached from goal 1, but its
+        # neighbor 2 can, so stepping to 2 beats staying at UNREACHABLE.
+        graph = ExplicitGraph([(2,), (2,), (1,)])
+        ctx = PibtContext(graph, (1,), seed=seed, swap_enabled=False)
+        assert step(ctx, (0,)) == (2,)
 
 
 class TestDynamicPriorities:
@@ -189,6 +204,17 @@ class TestPins:
 
 
 class TestDeterminismAndSafety:
+    @given(length=st.integers(0, 6), seed=st.integers())
+    def test_shuffle_matches_random_shuffle(self, length, seed):
+        expected_rng = random.Random(seed)
+        expected = list(range(length))
+        expected_rng.shuffle(expected)
+        rng = random.Random(seed)
+        items = list(range(length))
+        _shuffle(items, _fisher_yates_steps(length), rng.getrandbits)
+        assert items == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_identical_seed_identical_stream(self):
         rng = random.Random(2)
         inst = random_instance(rng, 6, 6, 0.2, 5, connected_only=True)

@@ -1,0 +1,50 @@
+"""The benchmark tracer's patch points stay on the engine's hot path.
+
+``benchmark/tracer.py`` times layers by replacing module attributes where
+their callers look them up. If a caller stopped resolving one of these
+names through its module (an inlined call, a local alias), the traced
+split would silently read zero for that layer; this test catches that.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import mapfkit.grid as grid
+import mapfkit.lacam as lacam
+import mapfkit.pibt as pibt
+from mapfkit import Instance, Objective, SolverOptions, SolveStatus, parse_map, solve
+
+from conftest import fixture_text
+
+TRACE_POINTS = (
+    (lacam, "plan_step"),
+    (pibt, "swap_required_and_possible"),
+    (grid, "bfs_dist_table"),
+    (lacam, "rewire"),
+)
+
+
+def test_every_trace_point_is_called(monkeypatch):
+    calls: collections.Counter[str] = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in TRACE_POINTS:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    # A freshly parsed grid, so that no cached distance table hides the BFS.
+    tunnel = parse_map(fixture_text("tunnel.map"))
+    out = solve(
+        Instance(grid=tunnel, starts=(3, 4), goals=(4, 3)),
+        SolverOptions(objective=Objective.MAKESPAN, swap_enabled=True, seed=0),
+    )
+    assert out.status is SolveStatus.OPTIMAL
+    assert calls["bfs_dist_table"] == 2
+    for _, name in TRACE_POINTS:
+        assert calls[name] > 0, f"{name} was never called through its module"
