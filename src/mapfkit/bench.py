@@ -321,7 +321,11 @@ def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
 
 
 def write_csv(records: Sequence[RunRecord], path: str | Path) -> Path:
-    """Write records to ``path``; traces go to sibling ``trace_<row>.csv``."""
+    """Write records to ``path``; traces go to sibling ``trace_<row>.csv``.
+
+    A row without a trace removes any ``trace_<row>.csv`` left by an earlier
+    write, so that :func:`read_csv` does not attach a stale trace to it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -343,8 +347,10 @@ def write_csv(records: Sequence[RunRecord], path: str | Path) -> Path:
                 ]
             )
     for idx, record in enumerate(records):
-        if record.trace:
-            trace_path = path.parent / f"trace_{idx}.csv"
+        trace_path = path.parent / f"trace_{idx}.csv"
+        if not record.trace:
+            trace_path.unlink(missing_ok=True)
+        else:
             with trace_path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("elapsed_ms", "cost"))

@@ -43,7 +43,12 @@ class DistTable:
 
 
 class VertexGraph:
-    """Unweighted graph addressed by dense integer vertex ids.
+    """Unweighted undirected graph addressed by dense integer vertex ids.
+
+    Adjacency must be symmetric: ``u in adjacency[v]`` exactly when
+    ``v in adjacency[u]``. This is not checked. Distance tables search out
+    of their target, so on a one-way arc they give distances from the
+    target, not to it.
 
     The graph is immutable after construction. Distance tables are computed
     lazily per target vertex and cached; the cache is lock-guarded so a
@@ -94,7 +99,8 @@ class ExplicitGraph(VertexGraph):
     """Graph built from an explicit adjacency list.
 
     Intended for non-grid layouts in tests and experiments; the solver stack
-    only needs the ``VertexGraph`` interface.
+    only needs the ``VertexGraph`` interface. The rows must be symmetric, as
+    :class:`VertexGraph` requires.
     """
 
 

@@ -67,7 +67,8 @@ class HighLevelNode:
     config: Config
     tree: deque[Constraint]
     parent: HighLevelNode | None
-    neighbors: set[HighLevelNode]
+    # Successor -> weight of the arc to it, in the order the arcs were found.
+    neighbors: dict[HighLevelNode, int]
     g: int
     h: int
     order: list[int]
@@ -110,10 +111,11 @@ class SolverOptions:
     search returns at the first goal discovery and makes no optimality
     claim. ``discard_enabled`` controls skipping of nodes that cannot beat
     the incumbent (plus their revival on g-improvement); disabling it is
-    mainly useful for measuring its effect. ``debug_check_g`` re-derives
-    every g-value with a reference Dijkstra at each iteration, and
-    ``improvement_callback`` receives (cost, solution) whenever the
-    incumbent improves; both are test instrumentation.
+    mainly useful for measuring its effect. ``debug_check_g`` recomputes
+    every stored arc weight and re-derives every g-value with a reference
+    Dijkstra at each iteration, and ``improvement_callback`` receives
+    (cost, solution) whenever the incumbent improves; both are test
+    instrumentation.
     """
 
     objective: Objective = Objective.SUM_OF_LOSS
@@ -197,38 +199,36 @@ def generate_configuration(
 
 def rewire(
     from_node: HighLevelNode,
-    objective: Objective,
-    goals: Config,
     goal_node: HighLevelNode | None = None,
     open_stack: list[HighLevelNode] | None = None,
-    cost_fn=None,
 ) -> None:
-    """Propagate a g-improvement wave after a new arc into ``from_node``'s set.
+    """Propagate a g-improvement wave after a new arc out of ``from_node``.
 
-    Dijkstra over the recorded neighbor arcs, updating g and parent wherever
-    strictly improved. When both ``goal_node`` and ``open_stack`` are given,
-    updated nodes that can now beat the incumbent are pushed back for
-    re-examination.
+    Dijkstra over the recorded weighted arcs, in the order they were found,
+    updating g and parent wherever strictly improved. When both
+    ``goal_node`` and ``open_stack`` are given, updated nodes that can now
+    beat the incumbent are pushed back for re-examination.
     """
-    ecost = cost_fn if cost_fn is not None else edge_cost_fn(objective, goals)
+    revive = goal_node is not None and open_stack is not None
+    goal_f = goal_node.g + goal_node.h if revive else 0
     counter = itertools.count()
     heap: list[tuple[int, int, HighLevelNode]] = [(from_node.g, next(counter), from_node)]
     while heap:
         g_from, _, nf = heapq.heappop(heap)
         if g_from > nf.g:
             continue
-        for nt in nf.neighbors:
-            g_new = nf.g + ecost(nf.config, nt.config)
+        for nt, weight in nf.neighbors.items():
+            g_new = g_from + weight
             if g_new < nt.g:
                 nt.g = g_new
                 nt.parent = nf
                 heapq.heappush(heap, (g_new, next(counter), nt))
-                if (
-                    goal_node is not None
-                    and open_stack is not None
-                    and nt.f < goal_node.f
-                ):
-                    open_stack.append(nt)
+                if revive:
+                    if nt is goal_node:
+                        # The incumbent itself improved: later nodes must beat it.
+                        goal_f = g_new + nt.h
+                    elif g_new + nt.h < goal_f:
+                        open_stack.append(nt)
 
 
 def backtrack(node: HighLevelNode) -> Solution:
@@ -247,38 +247,39 @@ def backtrack(node: HighLevelNode) -> Solution:
 
 
 def _reference_g_values(
-    start: HighLevelNode,
-    nodes: Sequence[HighLevelNode],
-    objective: Objective,
-    goals: Config,
-) -> dict[int, int]:
-    """Independent Dijkstra over the discovered arcs, keyed by node id."""
-    dist: dict[int, int] = {id(start): 0}
+    start: HighLevelNode, objective: Objective, goals: Config
+) -> dict[HighLevelNode, int]:
+    """Independent Dijkstra over the discovered arcs.
+
+    Every arc's cost is recomputed from the two configurations and must
+    equal the weight stored with the arc.
+    """
+    dist: dict[HighLevelNode, int] = {start: 0}
     ecost = edge_cost_fn(objective, goals)
     counter = itertools.count()
     heap: list[tuple[int, int, HighLevelNode]] = [(0, next(counter), start)]
     while heap:
         d, _, node = heapq.heappop(heap)
-        if d > dist.get(id(node), INF_COST):
+        if d > dist[node]:
             continue
-        for nxt in node.neighbors:
-            nd = d + ecost(node.config, nxt.config)
-            if nd < dist.get(id(nxt), INF_COST):
-                dist[id(nxt)] = nd
+        for nxt, stored in node.neighbors.items():
+            cost = ecost(node.config, nxt.config)
+            if cost != stored:
+                raise AssertionError(
+                    f"arc weight drift {node.config} -> {nxt.config}: "
+                    f"stored {stored}, recomputed {cost}"
+                )
+            nd = d + cost
+            if nd < dist.get(nxt, INF_COST):
+                dist[nxt] = nd
                 heapq.heappush(heap, (nd, next(counter), nxt))
     return dist
 
 
-def _assert_g_consistent(
-    start: HighLevelNode,
-    nodes: Sequence[HighLevelNode],
-    objective: Objective,
-    goals: Config,
-) -> None:
-    reference = _reference_g_values(start, nodes, objective, goals)
-    for node in nodes:
-        expect = reference.get(id(node))
-        if expect is None or node.g != expect:
+def _assert_g_consistent(start: HighLevelNode, objective: Objective, goals: Config) -> None:
+    """Check every g-value reachable from ``start`` against the reference."""
+    for node, expect in _reference_g_values(start, objective, goals).items():
+        if node.g != expect:
             raise AssertionError(
                 f"g-value drift at {node.config}: stored {node.g}, "
                 f"shortest path {expect}"
@@ -324,7 +325,7 @@ def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutc
         config=instance.starts,
         tree=deque([Constraint()]),
         parent=None,
-        neighbors=set(),
+        neighbors={},
         g=0,
         h=heuristic(objective, instance.starts, dist_tables),
         order=get_init_order(instance, dist_tables),
@@ -356,7 +357,7 @@ def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutc
             break
         stats.iterations += 1
         if opts.debug_check_g:
-            _assert_g_consistent(root, list(explored.values()), objective, goals)
+            _assert_g_consistent(root, objective, goals)
 
         node = open_stack[-1]
 
@@ -387,15 +388,8 @@ def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutc
         known = explored.get(q_new)
         if known is not None:
             if known not in node.neighbors:
-                node.neighbors.add(known)
-                rewire(
-                    node,
-                    objective,
-                    goals,
-                    goal_node=goal_node if opts.discard_enabled else None,
-                    open_stack=open_stack if opts.discard_enabled else None,
-                    cost_fn=ecost,
-                )
+                node.neighbors[known] = ecost(node.config, q_new)
+                rewire(node, goal_node, open_stack if opts.discard_enabled else None)
             # Reinsertion keeps deep branches alive; the rare restart pushes
             # the root instead so the search can escape bottleneck regions.
             if rng.random() < opts.restart_probability:
@@ -404,17 +398,18 @@ def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutc
                 open_stack.append(known)
         else:
             child_priorities = bumped_priorities(node.priorities, q_new, goals)
+            weight = ecost(node.config, q_new)
             child = HighLevelNode(
                 config=q_new,
                 tree=deque([Constraint()]),
                 parent=node,
-                neighbors=set(),
-                g=node.g + ecost(node.config, q_new),
+                neighbors={},
+                g=node.g + weight,
                 h=heuristic(objective, q_new, dist_tables),
                 order=get_order(child_priorities),
                 priorities=child_priorities,
             )
-            node.neighbors.add(child)
+            node.neighbors[child] = weight
             explored[q_new] = child
             open_stack.append(child)
 

@@ -180,6 +180,21 @@ class TestCsv:
         path = write_csv(records, tmp_path / "records.csv")
         assert read_csv(path) == records
 
+    def test_rewrite_drops_stale_trace(self, tmp_path):
+        traced = RunRecord(
+            map="m", scen="s", n=2, variant="full", seed=3, status="OPTIMAL",
+            init_time_ms=1.25, init_cost=9, final_cost=7, iterations=42,
+            trace=((1.25, 9), (2.5, 7)),
+        )
+        failed = RunRecord(
+            map="m", scen="s", n=2, variant="full", seed=3, status="FAILURE",
+            init_time_ms=None, init_cost=None, final_cost=None, iterations=42,
+        )
+        path = write_csv([traced], tmp_path / "records.csv")
+        write_csv([failed], path)
+        assert not (tmp_path / "trace_0.csv").exists()
+        assert read_csv(path) == [failed]
+
 
 class TestAggregation:
     def test_normalized_cost_matches_hand_computation(self):

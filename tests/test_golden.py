@@ -40,6 +40,9 @@ PLAIN_SOLVE_DIGEST = "ea5445823c40522c6ba7afbea247f308fa07fa60cf8e89467487767d5d
 PLAIN_SOLVE_COUNTS = (2768, 105, 77)  # cost, iterations, nodes
 ANYTIME_ITERATIONS = 1000
 ANYTIME_RESULT = (SolveStatus.SUBOPTIMAL, 2873)
+# Recorded once arcs were walked in insertion order rather than by address.
+ANYTIME_COUNTS = (1000, 451)  # iterations, nodes
+ANYTIME_TRACE_COSTS = [2873]
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +86,11 @@ def test_anytime_status_and_cost(random32):
         random32, SolverOptions(seed=5, iteration_budget=ANYTIME_ITERATIONS)
     )
     assert (out.status, out.cost) == ANYTIME_RESULT
+
+
+def test_anytime_counts_and_trace(random32):
+    out = solve(
+        random32, SolverOptions(seed=5, iteration_budget=ANYTIME_ITERATIONS)
+    )
+    assert (out.stats.iterations, out.stats.node_count) == ANYTIME_COUNTS
+    assert [cost for _, cost in out.stats.trace] == ANYTIME_TRACE_COSTS

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,8 @@ from mapfkit import (
     solve,
     validate,
 )
+import mapfkit
+import mapfkit.lacam as lacam
 from mapfkit.core import edge_cost_fn
 from mapfkit.lacam import pins_from_constraint
 
@@ -39,7 +46,7 @@ def make_node(config, g=0, h=0, order=None, priorities=None):
         config=config,
         tree=deque([Constraint()]),
         parent=None,
-        neighbors=set(),
+        neighbors={},
         g=g,
         h=h,
         order=order if order is not None else list(range(len(config))),
@@ -188,6 +195,7 @@ class TestRewire:
         # chain 0->2->3->4->5->6->7 with g = 0,1,2,3,4,5,6, a side node with
         # g = 1, and recorded back arcs; a new arc from the side node to the
         # g=5 node must drop downstream costs to 2, 3, 3
+        ecost = edge_cost_fn(Objective.MAKESPAN, (0,))
         n0 = make_node((0,), g=0)
         n2 = make_node((1,), g=1)
         n3 = make_node((2,), g=2)
@@ -200,12 +208,12 @@ class TestRewire:
             (n0, n2), (n2, n3), (n3, n4), (n4, n5), (n5, n6), (n6, n7), (n0, n8),
             (n4, n2), (n6, n3), (n3, n2), (n5, n4), (n6, n5),
         ]:
-            a.neighbors.add(b)
+            a.neighbors[b] = ecost(a.config, b.config)
             if b.parent is None and b is not n0:
                 b.parent = a
 
-        n8.neighbors.add(n6)
-        rewire(n8, Objective.MAKESPAN, (0,))
+        n8.neighbors[n6] = ecost(n8.config, n6.config)
+        rewire(n8)
 
         assert [n.g for n in (n0, n2, n3, n4, n5, n6, n7, n8)] == [
             0, 1, 2, 3, 3, 2, 3, 1,
@@ -215,14 +223,15 @@ class TestRewire:
         assert n7.parent is n6
 
     def test_non_improving_arc_changes_nothing(self):
+        ecost = edge_cost_fn(Objective.MAKESPAN, (0,))
         n0 = make_node((0,), g=0)
         n1 = make_node((1,), g=1)
         n2 = make_node((2,), g=2)
-        n0.neighbors.add(n1)
-        n1.neighbors.add(n2)
+        n0.neighbors[n1] = ecost(n0.config, n1.config)
+        n1.neighbors[n2] = ecost(n1.config, n2.config)
         n1.parent, n2.parent = n0, n1
-        n2.neighbors.add(n1)  # arc back into a cheaper node
-        rewire(n2, Objective.MAKESPAN, (0,))
+        n2.neighbors[n1] = ecost(n2.config, n1.config)  # arc back into a cheaper node
+        rewire(n2)
         assert (n0.g, n1.g, n2.g) == (0, 1, 2)
         assert n1.parent is n0
 
@@ -255,16 +264,16 @@ class TestRewire:
             # random connected base tree, arcs recorded in neighbors
             for i in range(1, k):
                 p = nodes[rng.randrange(i)]
-                p.neighbors.add(nodes[i])
+                p.neighbors[nodes[i]] = ecost(p.config, nodes[i].config)
             order = sorted(range(k), key=lambda i: 0)
             # settle initial g by waves from the root along tree arcs
-            rewire(nodes[0], Objective.SUM_OF_FUELS, goals)
+            rewire(nodes[0])
             for _ in range(6):
                 a, b = rng.sample(nodes, 2)
                 if b in a.neighbors:
                     continue
-                a.neighbors.add(b)
-                rewire(a, Objective.SUM_OF_FUELS, goals)
+                a.neighbors[b] = ecost(a.config, b.config)
+                rewire(a)
                 reference = full_dijkstra(nodes)
                 for node in nodes:
                     want = reference.get(id(node), 1 << 60)
@@ -460,6 +469,21 @@ class TestGValueInvariant:
             )
             assert out.status in (SolveStatus.OPTIMAL, SolveStatus.NO_SOLUTION)
 
+    def test_debug_mode_detects_corrupted_arc_weight(self, tunnel_instance, monkeypatch):
+        real_rewire = lacam.rewire
+
+        def corrupting_rewire(from_node, *args):
+            newest = next(reversed(from_node.neighbors))
+            from_node.neighbors[newest] += 1
+            return real_rewire(from_node, *args)
+
+        monkeypatch.setattr(lacam, "rewire", corrupting_rewire)
+        with pytest.raises(AssertionError, match="arc weight drift"):
+            solve(
+                tunnel_instance,
+                SolverOptions(objective=Objective.MAKESPAN, seed=0, debug_check_g=True),
+            )
+
 
 class TestDiscarding:
     def test_discarding_preserves_final_cost(self):
@@ -478,3 +502,40 @@ class TestDiscarding:
                 assert a.cost == b.cost
                 assert a.stats.iterations <= b.stats.iterations
                 checked += 1
+
+
+# Solves 40 random proofs and prints their outcomes as JSON. The heap
+# garbage allocated before the import moves every object address.
+_DETERMINISM_SCRIPT = """
+import json, random, sys
+junk = [[object()] * (i % 13) for i in range(int(sys.argv[1]))]
+del junk[::3]
+from mapfkit import Objective, SolverOptions, solve
+from mapfkit.bench import generate_map, sample_instance
+rng = random.Random(2024)
+rows = []
+for k in range(40):
+    inst = sample_instance(generate_map(5, 5, 0.2, rng), 3, rng)
+    out = solve(inst, SolverOptions(objective=Objective.SUM_OF_FUELS, seed=k))
+    trace = [cost for _, cost in out.stats.trace]
+    rows.append([out.status.value, out.cost, out.stats.iterations, out.stats.node_count, trace])
+print(json.dumps(rows))
+"""
+
+
+class TestDeterminism:
+    def test_counts_repeat_across_heap_states(self):
+        src = str(Path(mapfkit.__file__).resolve().parents[1])
+        runs = []
+        for garbage in (0, 30_000):
+            proc = subprocess.run(
+                [sys.executable, "-c", _DETERMINISM_SCRIPT, str(garbage)],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            runs.append(json.loads(proc.stdout))
+        assert len(runs[0]) == 40
+        assert runs[0] == runs[1]

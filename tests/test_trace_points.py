@@ -48,3 +48,40 @@ def test_every_trace_point_is_called(monkeypatch):
     assert calls["bfs_dist_table"] == 2
     for _, name in TRACE_POINTS:
         assert calls[name] > 0, f"{name} was never called through its module"
+
+
+def test_edge_costs_are_computed_once_per_arc(monkeypatch, tunnel_instance):
+    # Wraps ``edge_cost_fn`` as the tracer's ``core.edge_cost`` span does.
+    # Every node but the root enters through one arc, and every arc to a
+    # known node is recorded just before one ``rewire`` call.
+    counts: collections.Counter[str] = collections.Counter()
+    in_rewire = []
+    real_cost_fn, real_rewire = lacam.edge_cost_fn, lacam.rewire
+
+    def counting_factory(*args):
+        counts["factory"] += 1
+        cost = real_cost_fn(*args)
+
+        def counted(x, y):
+            counts["cost"] += 1
+            counts["cost_in_rewire"] += bool(in_rewire)
+            return cost(x, y)
+
+        return counted
+
+    def counting_rewire(*args):
+        counts["rewire"] += 1
+        in_rewire.append(True)
+        try:
+            return real_rewire(*args)
+        finally:
+            in_rewire.pop()
+
+    monkeypatch.setattr(lacam, "edge_cost_fn", counting_factory)
+    monkeypatch.setattr(lacam, "rewire", counting_rewire)
+    out = solve(tunnel_instance, SolverOptions(objective=Objective.SUM_OF_FUELS, seed=2))
+    assert out.status is SolveStatus.OPTIMAL
+    assert counts["factory"] == 1
+    assert counts["rewire"] > 0
+    assert counts["cost"] == out.stats.node_count - 1 + counts["rewire"]
+    assert counts["cost_in_rewire"] == 0
