@@ -53,7 +53,6 @@ from .oracle import OracleLimitError, is_solvable, optimal_cost
 from .pibt import (
     PibtContext,
     PinError,
-    StepRequest,
     initial_priorities,
     plan_step,
     swap_required_and_possible,
@@ -83,7 +82,6 @@ __all__ = [
     "SolveStats",
     "SolveStatus",
     "SolverOptions",
-    "StepRequest",
     "UNREACHABLE",
     "VertexGraph",
     "Violation",

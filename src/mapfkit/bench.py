@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("random instances need gen_dir to write files into")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
+        # Check budgets now, not mid-sweep after gen_dir has been written to.
+        SolverOptions(time_budget=self.time_budget, iteration_budget=self.iteration_budget)
 
     def agent_counts(self) -> list[int]:
         return list(range(self.agents_start, self.agents_max + 1, self.agents_step))

@@ -7,6 +7,7 @@ validator, and the plain-text solution file format.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,15 +40,19 @@ class SolutionFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A MAPF problem: a graph plus distinct starts and distinct goals."""
+    """A MAPF problem: a graph plus distinct starts and distinct goals.
+
+    Vertex ids of any integer type, NumPy's included, are stored as ``int``;
+    other types raise ``TypeError``.
+    """
 
     grid: VertexGraph
     starts: Config
     goals: Config
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "starts", tuple(self.starts))
-        object.__setattr__(self, "goals", tuple(self.goals))
+        object.__setattr__(self, "starts", tuple(map(operator.index, self.starts)))
+        object.__setattr__(self, "goals", tuple(map(operator.index, self.goals)))
         if len(self.starts) != len(self.goals):
             raise ValueError("starts and goals must have equal length")
         for v in (*self.starts, *self.goals):

@@ -95,13 +95,9 @@ class VertexGraph:
         return table
 
 
-class ExplicitGraph(VertexGraph):
-    """Graph built from an explicit adjacency list.
-
-    Intended for non-grid layouts in tests and experiments; the solver stack
-    only needs the ``VertexGraph`` interface. The rows must be symmetric, as
-    :class:`VertexGraph` requires.
-    """
+# A graph built from an explicit adjacency list, for non-grid layouts in
+# tests and experiments: the solver stack only needs this interface.
+ExplicitGraph = VertexGraph
 
 
 class GridMap(VertexGraph):

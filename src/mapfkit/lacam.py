@@ -19,12 +19,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (
     Config,
@@ -35,14 +34,14 @@ from .core import (
     edge_cost_fn,
     heuristic,
 )
-from .grid import UNREACHABLE, VertexGraph
+from .grid import VertexGraph
 from .pibt import (
     PibtContext,
     PinError,
-    StepRequest,
     bumped_priorities,
     initial_priorities,
     plan_step,
+    priority_order,
 )
 
 
@@ -73,10 +72,6 @@ class HighLevelNode:
     h: int
     order: list[int]
     priorities: list[float]
-
-    @property
-    def f(self) -> int:
-        return self.g + self.h
 
 
 class SolveStatus(Enum):
@@ -148,11 +143,6 @@ def get_init_order(instance: Instance, dist_tables) -> list[int]:
     )
 
 
-def get_order(priorities: Sequence[float]) -> list[int]:
-    """Constraint order from a priority snapshot, highest priority first."""
-    return sorted(range(len(priorities)), key=lambda i: -priorities[i])
-
-
 def low_level_expand(node: HighLevelNode, constraint: Constraint, graph: VertexGraph) -> None:
     """Grow the node's constraint tree below a just-popped constraint.
 
@@ -188,11 +178,8 @@ def generate_configuration(
     Mutually colliding or off-neighborhood pins (the constraint tree does
     enumerate such combinations) are rejected as None rather than raised.
     """
-    pins = pins_from_constraint(constraint)
-    ctx.priorities = node.priorities
-    ctx.order = node.order
     try:
-        return plan_step(ctx, StepRequest(q_from=node.config, pins=pins))
+        return plan_step(ctx, node.config, pins_from_constraint(constraint), node.order)
     except PinError:
         return None
 
@@ -286,6 +273,144 @@ def _assert_g_consistent(start: HighLevelNode, objective: Objective, goals: Conf
             )
 
 
+class _Search:
+    """One run of the search: owns every piece of its mutable state.
+
+    Each :meth:`step` runs one iteration of the main loop; :func:`solve`
+    decides when to stop. The engine functions it calls are looked up in
+    this module at call time, so they can be wrapped from outside.
+    """
+
+    __slots__ = (
+        "started", "opts", "stats", "ctx", "ecost",
+        "root", "open_stack", "explored", "goal_node",
+    )
+
+    def __init__(self, instance: Instance, opts: SolverOptions):
+        self.started = time.monotonic()
+        self.opts = opts
+        self.stats = SolveStats()
+        # The context's RNG also draws the search's restarts: one stream.
+        self.ctx = PibtContext(
+            instance.grid, instance.goals, seed=opts.seed, swap_enabled=opts.swap_enabled
+        )
+        self.ecost = edge_cost_fn(opts.objective, instance.goals)
+        dist_tables = self.ctx.dist_tables
+        self.root = HighLevelNode(
+            config=instance.starts,
+            tree=deque([Constraint()]),
+            parent=None,
+            neighbors={},
+            g=0,
+            h=heuristic(opts.objective, instance.starts, dist_tables),
+            order=get_init_order(instance, dist_tables),
+            priorities=initial_priorities(instance.n),
+        )
+        self.open_stack: list[HighLevelNode] = []
+        self.explored: dict[Config, HighLevelNode] = {}
+        self.goal_node: HighLevelNode | None = None
+        # A start cut off from its goal (h is INF_COST) leaves the open list
+        # empty, so the search ends exhausted without a goal: NO_SOLUTION.
+        if self.root.h < INF_COST:
+            self.open_stack.append(self.root)
+            self.explored[instance.starts] = self.root
+
+    def elapsed_ms(self) -> float:
+        return (time.monotonic() - self.started) * 1000.0
+
+    def interrupted(self) -> bool:
+        budget = self.opts.iteration_budget
+        if budget is not None and self.stats.iterations >= budget:
+            return True
+        budget_s = self.opts.time_budget
+        return budget_s is not None and time.monotonic() - self.started >= budget_s
+
+    def report_incumbent(self, goal_node: HighLevelNode) -> None:
+        """Record the goal node's g; called when it is found or lowered."""
+        self.stats.trace.append((self.elapsed_ms(), goal_node.g))
+        if self.opts.improvement_callback is not None:
+            self.opts.improvement_callback(goal_node.g, backtrack(goal_node))
+
+    def step(self) -> bool:
+        """Run one iteration; False once a non-anytime search has a solution."""
+        opts = self.opts
+        open_stack = self.open_stack
+        self.stats.iterations += 1
+        if opts.debug_check_g:
+            _assert_g_consistent(self.root, opts.objective, self.ctx.goals)
+
+        node = open_stack[-1]
+
+        if self.goal_node is None and node.config == self.ctx.goals:
+            self.goal_node = node
+            self.report_incumbent(node)
+            if not opts.anytime:
+                return False
+
+        goal_node = self.goal_node
+        if (
+            opts.discard_enabled
+            and goal_node is not None
+            and goal_node.g + goal_node.h <= node.g + node.h
+        ):
+            open_stack.pop()
+            return True
+
+        if not node.tree:
+            open_stack.pop()
+            return True
+
+        constraint = node.tree.popleft()
+        low_level_expand(node, constraint, self.ctx.graph)
+        q_new = generate_configuration(node, constraint, self.ctx)
+        if q_new is None:
+            return True
+
+        known = self.explored.get(q_new)
+        if known is not None:
+            if known not in node.neighbors:
+                node.neighbors[known] = self.ecost(node.config, q_new)
+                incumbent = goal_node.g if goal_node is not None else INF_COST
+                rewire(node, goal_node, open_stack if opts.discard_enabled else None)
+                if goal_node is not None and goal_node.g < incumbent:
+                    self.report_incumbent(goal_node)
+            # Reinsertion keeps deep branches alive; the rare restart pushes
+            # the root instead so the search can escape bottleneck regions.
+            if self.ctx.rng.random() < opts.restart_probability:
+                open_stack.append(self.root)
+            else:
+                open_stack.append(known)
+        else:
+            child_priorities = bumped_priorities(node.priorities, q_new, self.ctx.goals)
+            weight = self.ecost(node.config, q_new)
+            child = HighLevelNode(
+                config=q_new,
+                tree=deque([Constraint()]),
+                parent=node,
+                neighbors={},
+                g=node.g + weight,
+                h=heuristic(opts.objective, q_new, self.ctx.dist_tables),
+                order=priority_order(child_priorities),
+                priorities=child_priorities,
+            )
+            node.neighbors[child] = weight
+            self.explored[q_new] = child
+            open_stack.append(child)
+        return True
+
+    def outcome(self) -> SolveOutcome:
+        stats = self.stats
+        stats.node_count = len(self.explored)
+        stats.elapsed_ms = self.elapsed_ms()
+        exhausted = not self.open_stack
+        goal_node = self.goal_node
+        if goal_node is not None:
+            status = SolveStatus.OPTIMAL if exhausted else SolveStatus.SUBOPTIMAL
+            return SolveOutcome(status, backtrack(goal_node), goal_node.g, stats)
+        status = SolveStatus.NO_SOLUTION if exhausted else SolveStatus.FAILURE
+        return SolveOutcome(status, None, None, stats)
+
+
 def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutcome:
     """Solve a MAPF instance; see :class:`SolverOptions` for the variants.
 
@@ -294,135 +419,8 @@ def solve(instance: Instance, options: SolverOptions | None = None) -> SolveOutc
     NO_SOLUTION when the search space was exhausted without one, and
     FAILURE when interrupted empty-handed.
     """
-    opts = options if options is not None else SolverOptions()
-    started = time.monotonic()
-    objective = opts.objective
-    grid = instance.grid
-    goals = instance.goals
-    n = instance.n
-
-    stats = SolveStats()
-
-    def elapsed_ms() -> float:
-        return (time.monotonic() - started) * 1000.0
-
-    def finish(
-        status: SolveStatus, solution: Solution | None, cost: int | None
-    ) -> SolveOutcome:
-        stats.elapsed_ms = elapsed_ms()
-        return SolveOutcome(status=status, solution=solution, cost=cost, stats=stats)
-
-    dist_tables = [grid.dist_table(g) for g in goals]
-    for i in range(n):
-        if dist_tables[i][instance.starts[i]] == UNREACHABLE:
-            return finish(SolveStatus.NO_SOLUTION, None, None)
-
-    rng = random.Random(opts.seed)
-    ctx = PibtContext(grid, goals, swap_enabled=opts.swap_enabled, rng=rng)
-    ecost = edge_cost_fn(objective, goals)
-
-    root = HighLevelNode(
-        config=instance.starts,
-        tree=deque([Constraint()]),
-        parent=None,
-        neighbors={},
-        g=0,
-        h=heuristic(objective, instance.starts, dist_tables),
-        order=get_init_order(instance, dist_tables),
-        priorities=initial_priorities(n),
-    )
-    open_stack: list[HighLevelNode] = [root]
-    explored: dict[Config, HighLevelNode] = {instance.starts: root}
-    goal_node: HighLevelNode | None = None
-    last_reported: int | None = None
-
-    def interrupted() -> bool:
-        if opts.iteration_budget is not None and stats.iterations >= opts.iteration_budget:
-            return True
-        if opts.time_budget is not None and time.monotonic() - started >= opts.time_budget:
-            return True
-        return False
-
-    def report_incumbent() -> None:
-        nonlocal last_reported
-        assert goal_node is not None
-        if last_reported is None or goal_node.g < last_reported:
-            last_reported = goal_node.g
-            stats.trace.append((elapsed_ms(), goal_node.g))
-            if opts.improvement_callback is not None:
-                opts.improvement_callback(goal_node.g, backtrack(goal_node))
-
-    while open_stack:
-        if interrupted():
+    search = _Search(instance, options if options is not None else SolverOptions())
+    while search.open_stack and not search.interrupted():
+        if not search.step():
             break
-        stats.iterations += 1
-        if opts.debug_check_g:
-            _assert_g_consistent(root, objective, goals)
-
-        node = open_stack[-1]
-
-        if node.config == goals:
-            goal_node = node
-            report_incumbent()
-            if not opts.anytime:
-                break
-
-        if (
-            opts.discard_enabled
-            and goal_node is not None
-            and goal_node.f <= node.f
-        ):
-            open_stack.pop()
-            continue
-
-        if not node.tree:
-            open_stack.pop()
-            continue
-
-        constraint = node.tree.popleft()
-        low_level_expand(node, constraint, grid)
-        q_new = generate_configuration(node, constraint, ctx)
-        if q_new is None:
-            continue
-
-        known = explored.get(q_new)
-        if known is not None:
-            if known not in node.neighbors:
-                node.neighbors[known] = ecost(node.config, q_new)
-                rewire(node, goal_node, open_stack if opts.discard_enabled else None)
-            # Reinsertion keeps deep branches alive; the rare restart pushes
-            # the root instead so the search can escape bottleneck regions.
-            if rng.random() < opts.restart_probability:
-                open_stack.append(root)
-            else:
-                open_stack.append(known)
-        else:
-            child_priorities = bumped_priorities(node.priorities, q_new, goals)
-            weight = ecost(node.config, q_new)
-            child = HighLevelNode(
-                config=q_new,
-                tree=deque([Constraint()]),
-                parent=node,
-                neighbors={},
-                g=node.g + weight,
-                h=heuristic(objective, q_new, dist_tables),
-                order=get_order(child_priorities),
-                priorities=child_priorities,
-            )
-            node.neighbors[child] = weight
-            explored[q_new] = child
-            open_stack.append(child)
-
-        if goal_node is not None:
-            report_incumbent()
-
-    stats.node_count = len(explored)
-    exhausted = not open_stack
-
-    if goal_node is not None:
-        solution = backtrack(goal_node)
-        status = SolveStatus.OPTIMAL if exhausted else SolveStatus.SUBOPTIMAL
-        return finish(status, solution, goal_node.g)
-    if exhausted:
-        return finish(SolveStatus.NO_SOLUTION, None, None)
-    return finish(SolveStatus.FAILURE, None, None)
+    return search.outcome()

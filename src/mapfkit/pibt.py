@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import Config
@@ -54,20 +53,19 @@ def bumped_priorities(
     ]
 
 
-@dataclass
-class StepRequest:
-    """Input to :func:`plan_step`: the current configuration plus pins."""
-
-    q_from: Config
-    pins: dict[int, int] = field(default_factory=dict)
+def priority_order(priorities: Sequence[float]) -> list[int]:
+    """Agents by descending priority, the order :func:`plan_step` plans in."""
+    return sorted(range(len(priorities)), key=lambda i: -priorities[i])
 
 
 class PibtContext:
     """Reusable per-run state for the step generator.
 
     Holds the graph, per-agent goal distance tables, the dynamic priority
-    vector, and the seeded RNG. A context is single-threaded mutable state;
-    use one per solver run. Contexts for different runs are independent.
+    vector (read only by a :func:`plan_step` call given no ``order``), and
+    the RNG seeded from ``seed``. A context is single-threaded mutable
+    state; use one per solver run. Contexts for different runs are
+    independent.
     """
 
     def __init__(
@@ -76,13 +74,12 @@ class PibtContext:
         goals: Sequence[int],
         seed: int = 0,
         swap_enabled: bool = True,
-        rng: random.Random | None = None,
         priorities: Sequence[float] | None = None,
     ):
         self.graph = graph
         self.goals: Config = tuple(goals)
         self.n = len(self.goals)
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
         self.swap_enabled = swap_enabled
         if priorities is None:
             self.priorities = initial_priorities(self.n)
@@ -101,9 +98,6 @@ class PibtContext:
         needed = 3 * self.n + 500
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
-        # Optional externally maintained processing order; when set it must
-        # equal the descending-priority order and is used as-is.
-        self.order: Sequence[int] | None = None
         self._adjacency = graph.adjacency
         # Scratch reused across calls: vertex -> agent occupancy maps.
         self._occupied_from = [_NO_AGENT] * graph.num_vertices
@@ -168,20 +162,27 @@ def _shuffle(
         items[k], items[r] = items[r], items[k]
 
 
-def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
-    """Compute one connected successor configuration, or None on failure.
+def plan_step(
+    ctx: PibtContext,
+    q_from: Config,
+    pins: dict[int, int] | None = None,
+    order: Sequence[int] | None = None,
+) -> Config | None:
+    """Compute one connected successor of ``q_from``, or None on failure.
 
     Pinned agents receive exactly their pinned vertex. Remaining agents are
-    assigned in descending priority order; per agent, candidates are its
-    neighbors plus staying put, sorted by distance to its goal with ties
-    broken by a seeded shuffle. Failure (None) occurs only when the pins
-    leave some agent without any legal assignment. Malformed pins raise
+    assigned in ``order``, by default :func:`priority_order` of the
+    context's priorities; per agent, candidates are its neighbors plus
+    staying put, sorted by distance to its goal with ties broken by a
+    seeded shuffle. Failure (None) occurs only when the pins leave some
+    agent without any legal assignment. Malformed pins raise
     :class:`PinError` instead.
     """
-    q_from = request.q_from
     if len(q_from) != ctx.n:
         raise ValueError("configuration length does not match context")
-    problem = pin_problem(ctx.graph, q_from, request.pins)
+    if pins is None:
+        pins = {}
+    problem = pin_problem(ctx.graph, q_from, pins)
     if problem is not None:
         raise PinError(problem)
 
@@ -199,7 +200,7 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
 
     for i, v in enumerate(q_from):
         occ_from[v] = i
-    for agent, v in request.pins.items():
+    for agent, v in pins.items():
         q_to[agent] = v
         occ_to[v] = agent
         touch(v)
@@ -261,10 +262,8 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
         occ_to[target] = agent
         touch(target)
 
-    if ctx.order is not None:
-        order = ctx.order
-    else:
-        order = sorted(range(ctx.n), key=lambda i: -ctx.priorities[i])
+    if order is None:
+        order = priority_order(ctx.priorities)
     for i in order:
         if q_to[i] == _UNDECIDED:
             assign(i)
@@ -293,7 +292,7 @@ def plan_step(ctx: PibtContext, request: StepRequest) -> Config | None:
 
     if not ok:
         return None
-    for agent, v in request.pins.items():
+    for agent, v in pins.items():
         if result[agent] != v:
             return None
     return result

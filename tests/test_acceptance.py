@@ -19,7 +19,6 @@ from mapfkit import (
     PibtContext,
     SolveStatus,
     SolverOptions,
-    StepRequest,
     heuristic,
     is_connected,
     optimal_cost,
@@ -167,7 +166,7 @@ def test_criterion_3_livelock_repair(tunnel_grid, tunnel_instance, tunnel4_insta
     q = tunnel_instance.starts
     reached = False
     for _ in range(10 * tunnel_grid.num_vertices):
-        q = plan_step(ctx, StepRequest(q_from=q))
+        q = plan_step(ctx, q)
         update_priorities(ctx, q)
         if q == goals:
             reached = True
@@ -322,7 +321,7 @@ def test_criterion_7_generator_safety():
                 options = [*grid.neighbors(q[agent]), q[agent]]
                 pins = {agent: rng.choice(options)}
             try:
-                q_to = plan_step(ctx, StepRequest(q_from=q, pins=pins))
+                q_to = plan_step(ctx, q, pins)
             except Exception as exc:  # malformed pins are sampled legal; never expected
                 raise AssertionError(f"unexpected error: {exc}") from exc
             calls += 1

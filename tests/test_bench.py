@@ -68,6 +68,17 @@ class TestGeneration:
         assert starts == inst.starts and goals == inst.goals
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "budget", [{"iteration_budget": -1}, {"time_budget": float("nan")}, {"time_budget": -1.0}]
+    )
+    def test_bad_budget_rejected_before_any_file_is_written(self, tmp_path, budget):
+        gen_dir = tmp_path / "gen"
+        with pytest.raises(ValueError, match="budget"):
+            small_cfg(tmp_path, random_count=2, gen_dir=str(gen_dir), **budget)
+        assert not gen_dir.exists()
+
+
 class TestRunSuite:
     def test_single_run_single_record(self, tmp_path):
         records = run_suite(small_cfg(tmp_path))

@@ -89,6 +89,17 @@ class TestInstance:
         inst = Instance(grid=open_grid(2, 2), starts=(), goals=())
         assert inst.n == 0
 
+    def test_numpy_vertex_ids_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        inst = Instance(grid=open_grid(2, 2), starts=(np.int64(0),), goals=np.array([3]))
+        assert inst.starts == (0,) and inst.goals == (3,)
+        assert all(type(v) is int for v in (*inst.starts, *inst.goals))
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_vertex_ids_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Instance(grid=open_grid(2, 2), starts=(bad,), goals=(2,))
+
 
 class TestIsConnected:
     def test_all_stay(self):

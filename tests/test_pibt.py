@@ -10,7 +10,6 @@ from mapfkit import (
     GridMap,
     PibtContext,
     PinError,
-    StepRequest,
     is_connected,
     parse_map,
     plan_step,
@@ -28,7 +27,7 @@ from conftest import random_instance
 
 
 def step(ctx, q_from, pins=None):
-    return plan_step(ctx, StepRequest(q_from=q_from, pins=pins or {}))
+    return plan_step(ctx, q_from, pins)
 
 
 def iterate(ctx, q, goals, limit):
