@@ -7,8 +7,8 @@ integers instead of coordinates.
 
 from __future__ import annotations
 
+import operator
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 UNREACHABLE = -1
@@ -25,21 +25,87 @@ class MapParseError(ValueError):
     """A ``.map`` file violated the expected format."""
 
 
-@dataclass(frozen=True)
 class DistTable:
     """Shortest-path lengths (number of moves) from every vertex to ``target``.
 
-    ``dist[target]`` is 0 and vertices with no path hold ``UNREACHABLE``.
+    The table is a breadth-first search out of ``target`` that runs only as
+    far as its reads need. ``entries`` holds one value per vertex: the
+    final distance for every vertex the search has reached, and
+    ``pending`` (|V| + 1) for the rest. ``level`` is the last complete BFS
+    level: every vertex at most that far from ``target`` is final.
+    :meth:`settle` expands whole levels until a vertex's entry is final and
+    below ``level``, so its neighbours' entries are final too. Once the
+    frontier runs dry, the remaining pending entries become
+    ``UNREACHABLE`` and ``level`` becomes ``pending``.
+
+    ``table[v]`` settles ``v`` and returns its distance; :meth:`finish`
+    searches to the end, and ``dist`` finishes and returns every distance
+    as a tuple. ``dist[target]`` is 0 and vertices with no path hold
+    ``UNREACHABLE``. A table is single-threaded mutable state until it is
+    finished.
     """
 
-    target: int
-    dist: tuple[int, ...]
+    __slots__ = ("target", "entries", "pending", "level", "_frontier", "_adjacency")
+
+    def __init__(self, graph: VertexGraph, target: int):
+        self.target = graph.check_vertex(target)
+        self._adjacency = graph.adjacency
+        self.pending = len(self._adjacency) + 1
+        self.entries = [self.pending] * len(self._adjacency)
+        self.entries[self.target] = 0
+        self.level = 0
+        self._frontier = [self.target]
+
+    def settle(self, v: int) -> None:
+        """Search until ``v`` and every neighbour of ``v`` hold final entries."""
+        entries = self.entries
+        while entries[v] >= self.level:
+            self._advance()
+
+    def _advance(self) -> None:
+        """Complete the next BFS level, or end the search if none is left."""
+        entries = self.entries
+        pending = self.pending
+        frontier = self._frontier
+        if not frontier:
+            entries[:] = [UNREACHABLE if d == pending else d for d in entries]
+            self.level = pending
+            return
+        d = self.level + 1
+        reached: list[int] = []
+        add = reached.append
+        adjacency = self._adjacency
+        for v in frontier:
+            for u in adjacency[v]:
+                if entries[u] == pending:
+                    entries[u] = d
+                    add(u)
+        self._frontier = reached
+        self.level = d
+
+    @property
+    def searched(self) -> int:
+        """Number of vertices whose entry is final."""
+        return len(self.entries) - self.entries.count(self.pending)
+
+    def finish(self) -> None:
+        """Search to the end: every entry is final afterwards."""
+        while self.level < self.pending:
+            self._advance()
+
+    @property
+    def dist(self) -> tuple[int, ...]:
+        self.finish()
+        return tuple(self.entries)
 
     def __getitem__(self, v: int) -> int:
-        return self.dist[v]
+        entries = self.entries
+        if entries[v] >= self.level:
+            self.settle(v)
+        return entries[v]
 
     def __len__(self) -> int:
-        return len(self.dist)
+        return len(self.entries)
 
 
 class VertexGraph:
@@ -50,9 +116,12 @@ class VertexGraph:
     of their target, so on a one-way arc they give distances from the
     target, not to it.
 
-    The graph is immutable after construction. Distance tables are computed
-    lazily per target vertex and cached; the cache is lock-guarded so a
-    shared graph can serve concurrent solver runs.
+    The graph is immutable after construction. :meth:`dist_table` searches
+    a target's table to the end the first time it is asked for and caches
+    it; cached tables are complete, so they never change again, and the
+    cache is lock-guarded so a shared graph can serve concurrent solver
+    runs. A solve does not use this cache: it creates its own tables with
+    :func:`bfs_dist_table` and searches them only as far as it reads.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
@@ -71,26 +140,37 @@ class VertexGraph:
         """Neighbor lists indexed by vertex id, for tight solver loops."""
         return self._adjacency
 
-    def check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self._adjacency):
+    def check_vertex(self, v: int) -> int:
+        """``v`` as an ``int``; raises ``ValueError`` unless it is a vertex id.
+
+        Any integer type that ``operator.index`` accepts, NumPy's included,
+        is a valid id type.
+        """
+        try:
+            vertex = operator.index(v)
+        except TypeError:
+            raise ValueError(f"invalid vertex id {v!r}") from None
+        if not 0 <= vertex < len(self._adjacency):
             raise ValueError(f"invalid vertex id {v!r}")
+        return vertex
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Adjacent vertices of ``v`` in a fixed deterministic order."""
-        self.check_vertex(v)
-        return self._adjacency[v]
+        return self._adjacency[self.check_vertex(v)]
 
     def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self._adjacency[v])
+        return len(self._adjacency[self.check_vertex(v)])
 
     def dist_table(self, target: int) -> DistTable:
+        """The complete, shared distance table of ``target``."""
+        target = self.check_vertex(target)
         table = self._dist_tables.get(target)
         if table is None:
             with self._dist_lock:
                 table = self._dist_tables.get(target)
                 if table is None:
                     table = bfs_dist_table(self, target)
+                    table.finish()
                     self._dist_tables[target] = table
         return table
 
@@ -166,8 +246,7 @@ class GridMap(VertexGraph):
         return v
 
     def coords(self, v: int) -> tuple[int, int]:
-        self.check_vertex(v)
-        cell = self._vertex_cells[v]
+        cell = self._vertex_cells[self.check_vertex(v)]
         return cell % self.width, cell // self.width
 
     def to_text(self) -> str:
@@ -236,21 +315,5 @@ def parse_map(text: str) -> GridMap:
 
 
 def bfs_dist_table(graph: VertexGraph, target: int) -> DistTable:
-    """Exact BFS shortest-path lengths from all vertices to ``target``."""
-    graph.check_vertex(target)
-    adjacency = graph.adjacency
-    dist = [UNREACHABLE] * len(adjacency)
-    dist[target] = 0
-    frontier = [target]
-    d = 0
-    while frontier:
-        d += 1
-        reached: list[int] = []
-        add = reached.append
-        for v in frontier:
-            for u in adjacency[v]:
-                if dist[u] == UNREACHABLE:
-                    dist[u] = d
-                    add(u)
-        frontier = reached
-    return DistTable(target=target, dist=tuple(dist))
+    """A new distance table to ``target``, searched only as far as it is read."""
+    return DistTable(graph, target)

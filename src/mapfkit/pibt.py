@@ -17,12 +17,14 @@ exactly; they are how the high-level search steers this generator.
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from typing import Callable, Sequence
 
+from . import grid
 from .core import Config
-from .grid import UNREACHABLE, VertexGraph
+from .grid import UNREACHABLE, DistTable, VertexGraph
 
 _NO_AGENT = -1
 _UNDECIDED = -1
@@ -63,9 +65,11 @@ class PibtContext:
 
     Holds the graph, per-agent goal distance tables, the dynamic priority
     vector (read only by a :func:`plan_step` call given no ``order``), and
-    the RNG seeded from ``seed``. A context is single-threaded mutable
-    state; use one per solver run. Contexts for different runs are
-    independent.
+    the RNG seeded from ``seed``. The context owns its distance tables: it
+    creates them with ``mapfkit.grid.bfs_dist_table`` and they are searched
+    only as far as the step generator and the search read them. A context
+    is single-threaded mutable state; use one per solver run. Contexts for
+    different runs are independent.
     """
 
     def __init__(
@@ -77,7 +81,7 @@ class PibtContext:
         priorities: Sequence[float] | None = None,
     ):
         self.graph = graph
-        self.goals: Config = tuple(goals)
+        self.goals: Config = tuple(map(graph.check_vertex, goals))
         self.n = len(self.goals)
         self.rng = random.Random(seed)
         self.swap_enabled = swap_enabled
@@ -87,13 +91,15 @@ class PibtContext:
             if len(priorities) != self.n:
                 raise ValueError("priorities length must match agent count")
             self.priorities = list(priorities)
-        self.dist_tables = [graph.dist_table(g) for g in self.goals]
+        self.dist_tables = [grid.bfs_dist_table(graph, g) for g in self.goals]
         # Per-solve invariants of the hot loop, read once instead of per agent.
-        self._dists = [table.dist for table in self.dist_tables]
+        self._dists = [table.entries for table in self.dist_tables]
+        # Sorts after every distance: the tables' pending marker.
         self._big = graph.num_vertices + 1
         # Candidate lists are at most one longer than the largest degree.
-        longest = max(map(len, graph.adjacency), default=0) + 1
-        self._shuffle_steps = [_fisher_yates_steps(m) for m in range(longest + 1)]
+        self._shuffle_steps = _shuffle_step_table(
+            max(map(len, graph.adjacency), default=0) + 1
+        )
         # Inheritance chains recurse at most one frame set per agent.
         needed = 3 * self.n + 500
         if sys.getrecursionlimit() < needed:
@@ -142,6 +148,12 @@ def _fisher_yates_steps(length: int) -> tuple[tuple[int, int], ...]:
     the value is at most k.
     """
     return tuple((k, (k + 1).bit_length()) for k in range(length - 1, 0, -1))
+
+
+@functools.cache
+def _shuffle_step_table(longest: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``_fisher_yates_steps(m)`` for every length m up to ``longest``."""
+    return tuple(_fisher_yates_steps(m) for m in range(longest + 1))
 
 
 def _shuffle(
@@ -211,10 +223,19 @@ def plan_step(
         cand = [*adjacency[here], here]
         _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
         dist = dists[i]
-        # Stable sort by distance; UNREACHABLE (-1) would sort first, so only
-        # then sort again with unreachable candidates ranked last. Ties keep
-        # their shuffled order either way.
+        # Stable sort by distance; ties keep their shuffled order. Entries
+        # the table has not searched yet hold ``big`` and sort last, above
+        # every final distance, so one look at the last candidate tells
+        # whether any is pending. If one is, settling ``here`` makes every
+        # candidate final, and sorting the sorted list again gives the
+        # order one sort of the final values would. UNREACHABLE (-1) would
+        # sort first, so only then sort again with it ranked last.
         cand.sort(key=dist.__getitem__)
+        if dist[cand[-1]] == big:
+            # Read through ctx: one more name captured from plan_step would
+            # cost a closure cell on every call.
+            ctx.dist_tables[i].settle(here)
+            cand.sort(key=dist.__getitem__)
         if dist[cand[0]] == UNREACHABLE:
             cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
 
@@ -319,7 +340,7 @@ def _best_step_toward(
 def _swap_required(
     ctx: PibtContext,
     pusher_goal: int,
-    table: Sequence[int],
+    table: DistTable,
     v_pusher: int,
     v_retreater: int,
 ) -> bool:
@@ -331,30 +352,34 @@ def _swap_required(
     retreater's only improving move is through that goal. It is not required
     once the retreater reaches a vertex of degree above two. The walk is
     bounded by the vertex count; running out of budget counts as no.
-    ``table`` holds the distances to the retreater's goal.
+    ``table`` is the retreater's goal table; the walk settles each vertex
+    of the retreater before it reads distances around it.
     """
     adjacency = ctx._adjacency
     big = ctx._big
+    dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
         deg = len(row)
         if deg == 1:
             return True
         if v_pusher == pusher_goal:
-            return _best_step_toward(adjacency, table, v_retreater) == pusher_goal
+            table.settle(v_retreater)
+            return _best_step_toward(adjacency, dist, v_retreater) == pusher_goal
         if deg > 2:
             return False
         cells = [u for u in row if u != v_pusher]
         if not cells:
             return True
-        step = min(cells, key=lambda u: (table[u] if table[u] != UNREACHABLE else big, u))
+        table.settle(v_retreater)
+        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
         v_pusher, v_retreater = v_retreater, step
     return False
 
 
 def _swap_possible(
     ctx: PibtContext,
-    table: Sequence[int],
+    table: DistTable,
     v_advancer: int,
     v_retreater: int,
 ) -> bool:
@@ -362,11 +387,12 @@ def _swap_possible(
 
     Possible once the retreater stands on a vertex of degree above two
     (room to rotate); impossible if it hits a dead end. Bounded like
-    :func:`_swap_required`; ``table`` holds the distances to the
-    retreater's goal.
+    :func:`_swap_required`; ``table`` is the retreater's goal table,
+    settled as in :func:`_swap_required`.
     """
     adjacency = ctx._adjacency
     big = ctx._big
+    dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
         deg = len(row)
@@ -377,7 +403,8 @@ def _swap_possible(
         cells = [u for u in row if u != v_advancer]
         if not cells:
             return False
-        step = min(cells, key=lambda u: (table[u] if table[u] != UNREACHABLE else big, u))
+        table.settle(v_retreater)
+        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
         v_advancer, v_retreater = v_retreater, step
     return False
 
@@ -387,33 +414,27 @@ def swap_required_and_possible(
     i: int,
     q_from: Config,
     best_candidate: int,
-    occupied_from: Sequence[int] | None = None,
+    occupied_from: Sequence[int],
 ) -> int | None:
     """Agent to swap with when ``i``'s best move is blocked head-on, else None.
 
     Fires only when another agent sits on ``i``'s best candidate vertex and
     that vertex has degree two or less. Both emulations must agree: the swap
     is required (first emulation) and possible (second, reversed emulation).
+    ``occupied_from`` maps each vertex to the agent on it in ``q_from``, or
+    to -1.
     """
     if best_candidate == q_from[i]:
         return None
-    if occupied_from is not None:
-        j = occupied_from[best_candidate]
-        if j == _NO_AGENT:
-            return None
-    else:
-        try:
-            j = q_from.index(best_candidate)
-        except ValueError:
-            return None
-    if j == i:
+    j = occupied_from[best_candidate]
+    if j == _NO_AGENT or j == i:
         return None
     if len(ctx._adjacency[best_candidate]) > 2:
         return None
-    dists = ctx._dists
+    tables = ctx.dist_tables
     if _swap_required(
-        ctx, ctx.goals[i], dists[j], q_from[i], q_from[j]
-    ) and _swap_possible(ctx, dists[i], q_from[j], q_from[i]):
+        ctx, ctx.goals[i], tables[j], q_from[i], q_from[j]
+    ) and _swap_possible(ctx, tables[i], q_from[j], q_from[i]):
         return j
     return None
 
@@ -435,7 +456,7 @@ def _clear_target(
     here = q_from[i]
     if best_candidate == here:
         return None
-    dists = ctx._dists
+    tables = ctx.dist_tables
     for u in ctx._adjacency[here]:
         k = occupied_from[u]
         if k == _NO_AGENT or k == i:
@@ -443,7 +464,7 @@ def _clear_target(
         if q_from[k] == best_candidate:
             continue
         if _swap_required(
-            ctx, ctx.goals[k], dists[i], here, best_candidate
-        ) and _swap_possible(ctx, dists[k], best_candidate, here):
+            ctx, ctx.goals[k], tables[i], here, best_candidate
+        ) and _swap_possible(ctx, tables[k], best_candidate, here):
             return k
     return None

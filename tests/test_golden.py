@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import mapfkit.grid as grid
 from mapfkit import (
     Instance,
     Objective,
@@ -50,6 +51,11 @@ REPORTING_DRAWS = (7, 22, 25, 38)
 REPORTING_ITERATIONS = 2000
 REPORTING_DIGEST = "577196e81c53c11983bcf527cf239b23b0b8fe551491a73a848827eaff164d8a"
 REPORTING_IMPROVEMENTS = 88
+# Distance-table entries a plain solve (seed 0) searched, over its 100
+# tables of 819 vertices; eager tables would search all 81,900. Recorded
+# when the tables became lazy: a change that searches more fails here
+# without any timing.
+SEARCHED_VERTICES = 45927
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +90,23 @@ def test_plain_lacam_solution_bytes(random32):
     text = format_solution(out.solution, random32.grid)
     assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_SOLVE_DIGEST
     assert (out.cost, out.stats.iterations, out.stats.node_count) == PLAIN_SOLVE_COUNTS
+
+
+def test_plain_lacam_searched_vertices(random32, monkeypatch):
+    tables = []
+    create = grid.bfs_dist_table
+
+    def recording(graph, target):
+        tables.append(create(graph, target))
+        return tables[-1]
+
+    monkeypatch.setattr(grid, "bfs_dist_table", recording)
+    out = solve(random32, SolverOptions(anytime=False, seed=0))
+    assert out.status is SolveStatus.SUBOPTIMAL
+    assert len(tables) == random32.n
+    searched = sum(table.searched for table in tables)
+    assert searched < random32.n * random32.grid.num_vertices
+    assert searched == SEARCHED_VERTICES
 
 
 def test_anytime_status_and_cost(random32):

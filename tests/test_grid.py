@@ -141,6 +141,28 @@ class TestDistTable:
     def test_dist_table_cached(self, tunnel_grid):
         assert tunnel_grid.dist_table(3) is tunnel_grid.dist_table(3)
 
+    def test_cached_table_is_complete(self, tunnel_grid):
+        table = tunnel_grid.dist_table(2)
+        assert table.level == table.pending
+        assert table.searched == tunnel_grid.num_vertices
+        assert table.entries == reference_bfs(tunnel_grid.adjacency, 2)
+
+    def test_numpy_vertex_ids(self, tunnel_grid):
+        np = pytest.importorskip("numpy")
+        v = np.int64(3)
+        table = bfs_dist_table(tunnel_grid, v)
+        assert type(table.target) is int and table.target == 3
+        assert table.dist == bfs_dist_table(tunnel_grid, 3).dist
+        assert tunnel_grid.dist_table(v) is tunnel_grid.dist_table(3)
+        assert tunnel_grid.neighbors(v) == tunnel_grid.neighbors(3)
+        assert tunnel_grid.degree(v) == tunnel_grid.degree(3)
+        assert type(tunnel_grid.check_vertex(v)) is int
+        for bad in (3.0, "3", None, np.float64(3)):
+            with pytest.raises(ValueError):
+                bfs_dist_table(tunnel_grid, bad)
+            with pytest.raises(ValueError):
+                tunnel_grid.dist_table(bad)
+
 
 def reference_bfs(adjacency, target: int) -> list[int]:
     """Plain queue-based BFS: the reference ``bfs_dist_table`` must equal."""
@@ -205,6 +227,60 @@ class TestBfsAgainstReference:
         assert list(bfs_dist_table(graph, target).dist) == reference_bfs(
             graph.adjacency, target
         )
+
+
+def _read_in_random_order(graph, target, order_seed):
+    """Read a fresh table at half its vertices in a shuffled order, then finish it."""
+    expected = reference_bfs(graph.adjacency, target)
+    table = bfs_dist_table(graph, target)
+    order = list(range(graph.num_vertices))
+    random.Random(order_seed).shuffle(order)
+    for v in order[: len(order) // 2 + 1]:
+        assert table[v] == expected[v]
+        # Settling v makes v and every neighbour final.
+        for u in (v, *graph.adjacency[v]):
+            assert table.entries[u] == expected[u]
+    assert list(table.dist) == expected
+    assert isinstance(table.dist, tuple)
+
+
+class TestLazyTable:
+    @settings(max_examples=150, deadline=None)
+    @given(grids_with_target(), st.integers(0, 2**32 - 1))
+    def test_random_reads_then_dist_grid(self, case, order_seed):
+        _read_in_random_order(*case, order_seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_graphs_with_target(), st.integers(0, 2**32 - 1))
+    def test_random_reads_then_dist_explicit_graph(self, case, order_seed):
+        _read_in_random_order(*case, order_seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids_with_target(), st.data())
+    def test_one_read_searches_one_level_past_the_vertex(self, case, data):
+        grid, target = case
+        expected = reference_bfs(grid.adjacency, target)
+        v = data.draw(st.integers(0, grid.num_vertices - 1))
+        table = bfs_dist_table(grid, target)
+        table[v]
+        if expected[v] == UNREACHABLE:
+            # Only a search that ran dry can tell a vertex is unreachable.
+            assert table.level == table.pending
+            assert table.entries == expected
+        else:
+            assert table.level == expected[v] + 1
+            assert table.searched == sum(
+                1 for d in expected if d != UNREACHABLE and d <= table.level
+            )
+            assert all(
+                e == (d if d != UNREACHABLE and d <= table.level else table.pending)
+                for e, d in zip(table.entries, expected)
+            )
+
+    def test_fresh_table_has_searched_only_its_target(self, tunnel_grid):
+        table = bfs_dist_table(tunnel_grid, 3)
+        assert (table.level, table.searched) == (0, 1)
+        assert table.entries[3] == 0
 
 
 def test_serialize_reparse_round_trip():

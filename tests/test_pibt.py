@@ -30,6 +30,14 @@ def step(ctx, q_from, pins=None):
     return plan_step(ctx, q_from, pins)
 
 
+def occupancy(graph, q):
+    """Vertex -> agent on it in ``q``, -1 where none is."""
+    occupied = [-1] * graph.num_vertices
+    for agent, v in enumerate(q):
+        occupied[v] = agent
+    return occupied
+
+
 def iterate(ctx, q, goals, limit):
     """Run the generator repeatedly; returns (reached, configs)."""
     path = [q]
@@ -119,21 +127,34 @@ class TestSwapDetector:
         goals = (4, 3)
         q = (3, 4)
         ctx = PibtContext(tunnel_grid, goals, seed=0)
-        assert swap_required_and_possible(ctx, 0, q, best_candidate=4) == 1
-        assert swap_required_and_possible(ctx, 1, q, best_candidate=3) is None
+        occupied = occupancy(tunnel_grid, q)
+        assert swap_required_and_possible(
+            ctx, 0, q, best_candidate=4, occupied_from=occupied
+        ) == 1
+        assert swap_required_and_possible(
+            ctx, 1, q, best_candidate=3, occupied_from=occupied
+        ) is None
 
     def test_unoccupied_best_candidate(self, tunnel_grid):
         ctx = PibtContext(tunnel_grid, (5, 0), seed=0)
         q = (3, 0)
-        assert swap_required_and_possible(ctx, 0, q, best_candidate=4) is None
+        occupied = occupancy(tunnel_grid, q)
+        assert swap_required_and_possible(
+            ctx, 0, q, best_candidate=4, occupied_from=occupied
+        ) is None
 
     def test_dead_end_corridor_is_impossible(self):
         grid = parse_map("type octile\nheight 1\nwidth 4\nmap\n....\n")
         goals = (3, 0)
         q = (1, 2)
         ctx = PibtContext(grid, goals, seed=0)
-        assert swap_required_and_possible(ctx, 0, q, best_candidate=2) is None
-        assert swap_required_and_possible(ctx, 1, q, best_candidate=1) is None
+        occupied = occupancy(grid, q)
+        assert swap_required_and_possible(
+            ctx, 0, q, best_candidate=2, occupied_from=occupied
+        ) is None
+        assert swap_required_and_possible(
+            ctx, 1, q, best_candidate=1, occupied_from=occupied
+        ) is None
 
 
 class TestSwapStep:
@@ -227,6 +248,51 @@ class TestDeterminismAndSafety:
             update_priorities(ctx_a, a)
             update_priorities(ctx_b, a)
             q = a
+
+    def test_numpy_goals_are_stored_as_int(self, tunnel_grid):
+        np = pytest.importorskip("numpy")
+        ctx = PibtContext(tunnel_grid, np.array([4, 3]), seed=0)
+        assert ctx.goals == (4, 3)
+        assert all(type(g) is int for g in ctx.goals)
+        assert [table.target for table in ctx.dist_tables] == [4, 3]
+        expected = step(PibtContext(tunnel_grid, (4, 3), seed=0), (3, 4))
+        assert step(ctx, (3, 4)) == expected
+
+    def test_context_owns_lazy_tables(self, tunnel_grid):
+        ctx = PibtContext(tunnel_grid, (4, 3), seed=0)
+        for table in ctx.dist_tables:
+            assert table is not tunnel_grid.dist_table(table.target)
+            assert table.searched == 1
+        other = PibtContext(tunnel_grid, (1, 0), seed=1)
+        assert other._shuffle_steps is ctx._shuffle_steps
+
+    def test_lazy_tables_give_the_steps_of_finished_ones(self):
+        # Swap walks can go past the part of a lazy table that the step
+        # has searched; they must read what a finished table holds.
+        rng = random.Random(4)
+        swaps = 0
+        for trial in range(40):
+            inst = random_instance(rng, 8, 8, 0.35, 12)
+            if inst is None:
+                continue
+            lazy = PibtContext(inst.grid, inst.goals, seed=trial)
+            done = PibtContext(inst.grid, inst.goals, seed=trial)
+            for table in done.dist_tables:
+                table.finish()
+            q = inst.starts
+            occupied = occupancy(inst.grid, q)
+            for i, v in enumerate(q):
+                for u in inst.grid.neighbors(v):
+                    expected = swap_required_and_possible(done, i, q, u, occupied)
+                    swaps += expected is not None
+                    assert swap_required_and_possible(lazy, i, q, u, occupied) == expected
+            lazy = PibtContext(inst.grid, inst.goals, seed=trial)
+            for _ in range(20):
+                q_lazy, q = step(lazy, q), step(done, q)
+                assert q_lazy == q
+                update_priorities(lazy, q)
+                update_priorities(done, q)
+        assert swaps > 0
 
     def test_random_steps_stay_connected_and_honor_pins(self):
         rng = random.Random(8)
