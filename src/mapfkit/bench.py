@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import Instance, Objective, heuristic, parse_scenario
-from .grid import GridMap, parse_map
+from .grid import GridMap, bfs_dist_table, parse_map
 from .lacam import SolveOutcome, SolveStatus, SolverOptions, solve
 
 log = logging.getLogger(__name__)
@@ -168,7 +168,7 @@ def scenario_text(grid: GridMap, map_name: str, instance: Instance) -> str:
     for s, g in zip(instance.starts, instance.goals):
         sx, sy = grid.coords(s)
         gx, gy = grid.coords(g)
-        d = grid.dist_table(g)[s]
+        d = bfs_dist_table(grid, g)[s]
         opt = float(d) if d >= 0 else -1.0
         lines.append(
             f"0\t{map_name}\t{grid.width}\t{grid.height}\t{sx}\t{sy}\t{gx}\t{gy}\t{opt}"
@@ -402,7 +402,7 @@ def normalized_final_cost(record: RunRecord, instance: Instance) -> float | None
     """final_cost divided by the sum of start-goal distances (quality score)."""
     if record.final_cost is None:
         return None
-    tables = [instance.grid.dist_table(g) for g in instance.goals]
+    tables = [bfs_dist_table(instance.grid, g) for g in instance.goals]
     lower_bound = heuristic(Objective.SUM_OF_LOSS, instance.starts, tables)
     if lower_bound <= 0:
         return None

@@ -11,7 +11,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .grid import DistTable, GridMap, UNREACHABLE, VertexGraph
 
@@ -182,19 +182,27 @@ def _transition_violation(
 
     Checks move validity per agent, then vertex collisions in y, then edge
     collisions between x and y. Collisions within x are not examined here.
+    Only moving agents can break the move rule or swap: an agent that swaps
+    with a resting one collides with it in y, which is found first.
     """
-    movers = [
-        i for i in range(len(x)) if y[i] != x[i] and y[i] not in graph.neighbors(x[i])
-    ]
-    if movers:
-        return ViolationKind.MOVE, tuple(movers)
-    vertex_bad = _vertex_collision_agents(y)
-    if vertex_bad:
-        return ViolationKind.VERTEX, vertex_bad
-    at: dict[int, int] = {v: i for i, v in enumerate(x)}
+    moving = [i for i in range(len(x)) if y[i] != x[i]]
+    adjacency = graph.adjacency
+    try:
+        illegal = [i for i in moving if x[i] < 0 or y[i] not in adjacency[x[i]]]
+    except (IndexError, TypeError):
+        illegal = None
+    if illegal is None or illegal:
+        # A broken move or an id that is not a vertex. The checked lookups
+        # raise ValueError for the first mover whose source is not one.
+        illegal = [i for i in moving if y[i] not in graph.neighbors(x[i])]
+        if illegal:
+            return ViolationKind.MOVE, tuple(illegal)
+    if len(set(y)) != len(y):
+        return ViolationKind.VERTEX, _vertex_collision_agents(y)
+    at: dict[int, int] = {x[i]: i for i in moving}
     swaps: set[int] = set()
-    for i, v in enumerate(y):
-        j = at.get(v)
+    for i in moving:
+        j = at.get(y[i])
         if j is not None and j != i and y[j] == x[i]:
             swaps.add(i)
             swaps.add(j)
@@ -221,7 +229,9 @@ def validate(instance: Instance, solution: Solution) -> Violation | None:
     On success the solution's ``verified`` flag is set. The first violation
     in temporal order is returned otherwise. The start configuration's own
     collision-freedom is checked explicitly so externally produced files
-    get full scrutiny.
+    get full scrutiny. Each transition reads ``graph.adjacency`` for the
+    agents that move only, and builds the agents of a vertex or edge
+    collision only once one is known to exist.
     """
     configs = solution.configs
     n = instance.n
@@ -328,21 +338,47 @@ def heuristic(
     return sum(dists)
 
 
+def _reads_cell_tables(configs: int, agents: int, grid: GridMap) -> bool:
+    """Whether a solution of this size goes through the grid's cell-text tables.
+
+    The two tables hold 2|V| strings, and building them costs a pass over
+    the grid plus a fixed first-use cost. They pay off from about twice as
+    many cells as the grid has vertices; below that, as for 3 agents on a
+    5x5 map, the per-vertex path is faster in a fresh process.
+    """
+    return configs * agents >= 2 * grid.num_vertices
+
+
 def format_solution(solution: Sequence[Config], grid: GridMap) -> str:
     """Render a solution in the plain-text interchange format.
 
     Line 0 repeats the start configuration as ``starts=(x,y),...`` and each
     following line holds one configuration as ``t:(x,y),...`` with t counted
-    from 0.
+    from 0, in canonical form: decimal coordinates, no spaces, LF line
+    endings. A solution with at least twice as many cells as the grid has
+    vertices looks them up in ``grid.coord_texts``. An id that is not a
+    vertex of ``grid`` raises ``ValueError``.
     """
     if len(solution) == 0:
         raise ValueError("cannot format an empty solution")
+    texts = None
+    if _reads_cell_tables(len(solution), len(solution[0]), grid):
+        texts = grid.coord_texts
 
     def fmt(q: Config) -> str:
+        if texts is not None:
+            try:
+                # A negative index would wrap around the tuple, not raise.
+                if min(q, default=0) >= 0:
+                    return ",".join(map(texts.__getitem__, q))
+            except (IndexError, TypeError):
+                pass
+        # Checked per-vertex path: it raises for the first invalid id.
         return ",".join("({},{})".format(*grid.coords(v)) for v in q)
 
-    lines = [f"starts={fmt(solution[0])}"]
-    for t in range(len(solution)):
+    first = fmt(solution[0])
+    lines = [f"starts={first}", f"0:{first}"]
+    for t in range(1, len(solution)):
         lines.append(f"{t}:{fmt(solution[t])}")
     return "\n".join(lines) + "\n"
 
@@ -350,8 +386,18 @@ def format_solution(solution: Sequence[Config], grid: GridMap) -> str:
 _COORD_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
 
 
-def _parse_config_coords(body: str, grid: GridMap, lineno: int) -> Config:
+def _parse_config_coords(
+    body: str, grid: GridMap, lineno: int, table: Mapping[str, int] | None
+) -> Config:
     body = body.strip()
+    if table is not None and body[:1] == "(" and body[-1:] == ")":
+        # Canonical text: every "x,y" between "(" ... ")" and the "),("
+        # separators is a key of ``table``. Anything else, including forms
+        # the regex accepts such as "(01,2)", takes the path below.
+        try:
+            return tuple(map(table.__getitem__, body[1:-1].split("),(")))
+        except KeyError:
+            pass
     pairs = _COORD_RE.findall(body)
     rebuilt = ",".join(f"({x},{y})" for x, y in pairs)
     if rebuilt != body:
@@ -366,18 +412,30 @@ def _parse_config_coords(body: str, grid: GridMap, lineno: int) -> Config:
 
 
 def parse_solution(text: str, grid: GridMap) -> Solution:
-    """Parse solution text produced by :func:`format_solution`."""
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    """Parse solution text produced by :func:`format_solution`.
+
+    Accepts LF, CRLF and CR line endings and skips blank lines. In a
+    solution with at least twice as many cells as the grid has vertices,
+    canonical configurations are read by lookup in ``grid.coord_vertices``.
+    Other text goes through a regular expression that also accepts leading
+    zeros and names the first malformed, outside or blocked cell in its
+    error.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("starts="):
         raise SolutionFormatError("line 1: expected 'starts=' prefix")
-    starts = _parse_config_coords(lines[0][len("starts=") :], grid, 1)
+    table = None
+    if _reads_cell_tables(len(lines) - 1, lines[0].count("("), grid):
+        table = grid.coord_vertices
+    starts = _parse_config_coords(lines[0][len("starts=") :], grid, 1, table)
     configs: list[Config] = []
     for idx, line in enumerate(lines[1:]):
         lineno = idx + 2
         head, sep, body = line.partition(":")
         if not sep or head.strip() != str(idx):
             raise SolutionFormatError(f"line {lineno}: expected step index {idx}")
-        q = _parse_config_coords(body, grid, lineno)
+        q = _parse_config_coords(body, grid, lineno, table)
         if len(q) != len(starts):
             raise SolutionFormatError(
                 f"line {lineno}: expected {len(starts)} agents, found {len(q)}"

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import operator
 import threading
+from functools import cached_property
+from types import MappingProxyType
 from typing import Sequence
 
 UNREACHABLE = -1
@@ -185,6 +187,14 @@ class GridMap(VertexGraph):
 
     Vertices are the passable cells, numbered 0..|V|-1 in row-major order.
     Coordinates are (x, y) = (column, row) with (0, 0) at the top left.
+
+    Solution files name cells as ``(x,y)`` text. :attr:`coord_texts` and
+    :attr:`coord_vertices` translate between that text and vertex ids by
+    lookup, for solutions with at least twice as many cells as the grid
+    has vertices. Each is built on its first use, not at construction,
+    and is never changed afterwards, so a shared grid can serve
+    concurrent readers (two threads that race to build one build equal
+    values).
     """
 
     def __init__(self, width: int, height: int, passable: Sequence[bool]):
@@ -248,6 +258,26 @@ class GridMap(VertexGraph):
     def coords(self, v: int) -> tuple[int, int]:
         cell = self._vertex_cells[self.check_vertex(v)]
         return cell % self.width, cell // self.width
+
+    @cached_property
+    def coord_texts(self) -> tuple[str, ...]:
+        """``"(x,y)"`` of every vertex, indexed by vertex id."""
+        width = self.width
+        columns = [f"({x}," for x in range(width)]
+        rows = [f"{y})" for y in range(self.height)]
+        return tuple(
+            [columns[cell % width] + rows[cell // width] for cell in self._vertex_cells]
+        )
+
+    @cached_property
+    def coord_vertices(self) -> MappingProxyType[str, int]:
+        """Vertex id of every passable cell, keyed by its ``"x,y"`` text.
+
+        Keys are :attr:`coord_texts` without the parentheses, so they are
+        canonical: decimal with no sign, leading zero or space.
+        """
+        texts = self.coord_texts
+        return MappingProxyType({text[1:-1]: v for v, text in enumerate(texts)})
 
     def to_text(self) -> str:
         """Serialize back to ``.map`` format ('.' passable, '@' blocked)."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mapfkit import Instance, Objective
+from mapfkit import Instance, Objective, VertexGraph, bfs_dist_table, parse_map
 from mapfkit.bench import (
     ExperimentConfig,
     RunRecord,
@@ -16,6 +16,7 @@ from mapfkit.bench import (
     read_csv,
     run_suite,
     sample_instance,
+    scenario_text,
     summarize,
     write_csv,
     write_instance_files,
@@ -66,6 +67,24 @@ class TestGeneration:
         assert again == grid
         starts, goals = parse_scenario(scen_path.read_text(), again, 4)
         assert starts == inst.starts and goals == inst.goals
+
+    def test_scenario_lengths_fill_no_graph_cache(self, monkeypatch):
+        # The optimal-length column reads one lazy table per agent; the
+        # graph's cache of complete tables stays empty.
+        def no_cache(graph, target):
+            raise AssertionError("scenario_text filled the graph's table cache")
+
+        monkeypatch.setattr(VertexGraph, "dist_table", no_cache)
+        rng = random.Random(3)
+        # A blocked middle column leaves some start-goal pairs unreachable.
+        terrain = "....@....\n.@..@..@.\n....@....\n"
+        grid = parse_map("type octile\nheight 3\nwidth 9\nmap\n" + terrain)
+        inst = sample_instance(grid, 8, rng, connected_only=False)
+        rows = scenario_text(grid, "m.map", inst).splitlines()[1:]
+        assert "-1.0" in {row.split("\t")[8] for row in rows}
+        for row, s, g in zip(rows, inst.starts, inst.goals):
+            d = bfs_dist_table(grid, g).dist[s]
+            assert row.split("\t")[8] == str(float(d) if d >= 0 else -1.0)
 
 
 class TestExperimentConfig:

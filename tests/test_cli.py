@@ -92,6 +92,16 @@ class TestValidateCommand:
         assert code == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_lone_cr_line_endings_validate(self, capsys, tmp_path):
+        sol = self._solve_to(tmp_path)
+        sol.write_bytes(sol.read_bytes().replace(b"\n", b"\r"))
+        code = main(
+            ["validate", "-m", fx("tunnel.map"), "-i", fx("tunnel.scen"),
+             "-N", "2", "--solution", str(sol)]
+        )
+        assert code == 0
+        assert "valid" in capsys.readouterr().out
+
     def test_corrupted_step_reports_edge(self, capsys, tmp_path):
         # two agents following each other; the step-2 configuration is
         # replaced by the exchange of their step-1 positions

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapfkit import (
     GridMap,
@@ -11,6 +12,7 @@ from mapfkit import (
     Objective,
     ScenarioError,
     Solution,
+    SolutionFormatError,
     ViolationKind,
     edge_cost,
     format_solution,
@@ -22,7 +24,7 @@ from mapfkit import (
     solution_cost,
     validate,
 )
-from mapfkit.core import INF_COST, edge_cost_fn
+from mapfkit.core import INF_COST, _transition_violation, edge_cost_fn
 
 
 def open_grid(w: int, h: int) -> GridMap:
@@ -339,3 +341,332 @@ class TestSolutionFormat:
         grid = parse_map("type octile\nheight 1\nwidth 3\nmap\n.@.\n")
         with pytest.raises(ValueError, match="blocked"):
             parse_solution("starts=(1,0)\n0:(1,0)\n", grid)
+
+
+# Reference implementations: the solution writer, reader and transition
+# check as they were before they read per-grid lookup tables. The library
+# must give the same text, configurations, violations and errors.
+
+
+def reference_format_solution(solution, grid: GridMap) -> str:
+    if len(solution) == 0:
+        raise ValueError("cannot format an empty solution")
+
+    def fmt(q):
+        return ",".join("({},{})".format(*grid.coords(v)) for v in q)
+
+    lines = [f"starts={fmt(solution[0])}"]
+    for t in range(len(solution)):
+        lines.append(f"{t}:{fmt(solution[t])}")
+    return "\n".join(lines) + "\n"
+
+
+_REFERENCE_COORD_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
+
+
+def reference_parse_config_coords(body: str, grid: GridMap, lineno: int):
+    body = body.strip()
+    pairs = _REFERENCE_COORD_RE.findall(body)
+    rebuilt = ",".join(f"({x},{y})" for x, y in pairs)
+    if rebuilt != body:
+        raise SolutionFormatError(f"line {lineno}: malformed configuration {body!r}")
+    vertices = []
+    for x, y in pairs:
+        try:
+            vertices.append(grid.vertex_at(int(x), int(y)))
+        except ValueError as exc:
+            raise SolutionFormatError(f"line {lineno}: {exc}") from None
+    return tuple(vertices)
+
+
+def reference_parse_solution(text: str, grid: GridMap) -> Solution:
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    if not lines or not lines[0].startswith("starts="):
+        raise SolutionFormatError("line 1: expected 'starts=' prefix")
+    starts = reference_parse_config_coords(lines[0][len("starts=") :], grid, 1)
+    configs = []
+    for idx, line in enumerate(lines[1:]):
+        lineno = idx + 2
+        head, sep, body = line.partition(":")
+        if not sep or head.strip() != str(idx):
+            raise SolutionFormatError(f"line {lineno}: expected step index {idx}")
+        q = reference_parse_config_coords(body, grid, lineno)
+        if len(q) != len(starts):
+            raise SolutionFormatError(
+                f"line {lineno}: expected {len(starts)} agents, found {len(q)}"
+            )
+        configs.append(q)
+    if not configs:
+        raise SolutionFormatError("solution holds no configurations")
+    if configs[0] != starts:
+        raise SolutionFormatError("line 2: step 0 does not match the starts line")
+    return Solution(configs=configs)
+
+
+def reference_vertex_collision_agents(q):
+    seen = {}
+    bad = set()
+    for i, v in enumerate(q):
+        if v in seen:
+            bad.add(seen[v])
+            bad.add(i)
+        else:
+            seen[v] = i
+    return tuple(sorted(bad))
+
+
+def reference_transition_violation(x, y, graph):
+    movers = [
+        i for i in range(len(x)) if y[i] != x[i] and y[i] not in graph.neighbors(x[i])
+    ]
+    if movers:
+        return ViolationKind.MOVE, tuple(movers)
+    vertex_bad = reference_vertex_collision_agents(y)
+    if vertex_bad:
+        return ViolationKind.VERTEX, vertex_bad
+    at = {v: i for i, v in enumerate(x)}
+    swaps = set()
+    for i, v in enumerate(y):
+        j = at.get(v)
+        if j is not None and j != i and y[j] == x[i]:
+            swaps.add(i)
+            swaps.add(j)
+    if swaps:
+        return ViolationKind.EDGE, tuple(sorted(swaps))
+    return None
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def walled_grids(draw, max_cells: int = 144) -> GridMap:
+    """Random grids up to 12 cells a side, some cut by a fully blocked column."""
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, min(12, max_cells // width)))
+    cells = width * height
+    passable = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    wall = draw(st.none() | st.integers(0, width - 1))
+    if wall is not None:
+        for y in range(height):
+            passable[y * width + wall] = False
+    if not any(passable):
+        passable[draw(st.integers(0, width * height - 1))] = True
+    return GridMap(width, height, passable)
+
+
+@st.composite
+def grids_with_solutions(draw):
+    """A grid and a solution that has fewer or more cells than its vertices.
+
+    Small grids (up to 16 cells, up to 12 a side) put both the per-vertex
+    and the lookup-table paths within reach.
+    """
+    grid = draw(walled_grids(max_cells=16))
+    n = draw(st.integers(0, 5))
+    vertex = st.integers(0, grid.num_vertices - 1)
+    configs = draw(st.lists(st.tuples(*[vertex] * n), min_size=1, max_size=8))
+    return grid, configs
+
+
+@st.composite
+def solution_texts(draw):
+    """A grid and solution text, mostly canonical, with the reader's edge cases.
+
+    Cells may be outside the map, negative or blocked, and be written with
+    leading zeros or spaces; lines may be padded, end in CRLF, have a wrong
+    step index or arity, or an empty body.
+    """
+    grid = draw(walled_grids(max_cells=16))
+    n = draw(st.integers(0, 4))
+
+    def cell() -> str:
+        if draw(st.integers(0, 9)) < 8:
+            x, y = grid.coords(draw(st.integers(0, grid.num_vertices - 1)))
+        else:
+            x = draw(st.integers(-2, grid.width + 1))
+            y = draw(st.integers(-2, grid.height + 1))
+        styles = ["({},{})"] * 6 + ["(0{},{})", "({},0{})", "({}, {})"]
+        style = draw(st.sampled_from(styles))
+        return style.format(x, y)
+
+    def body(k: int) -> str:
+        text = ",".join(cell() for _ in range(k))
+        return draw(st.sampled_from([text] * 6 + [f"  {text} ", f"{text}\t", ""]))
+
+    starts = body(n)
+    lines = [f"starts={starts}"]
+    for t in range(draw(st.integers(0, 6))):
+        step = draw(st.sampled_from([t] * 8 + [t + 1, -1]))
+        k = draw(st.sampled_from([n] * 8 + [max(n - 1, 0), n + 1]))
+        rest = starts if t == 0 and draw(st.booleans()) else body(k)
+        lines.append(f"{step}:{rest}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return grid, newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+@st.composite
+def transitions(draw):
+    """A grid and a pair (x, y): y mostly stays or steps, x may collide."""
+    grid = draw(walled_grids())
+    last = grid.num_vertices - 1
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(0, last)
+    if draw(st.booleans()):
+        x = draw(st.lists(vertex, min_size=n, max_size=n))
+    else:
+        x = draw(st.lists(vertex, min_size=min(n, last + 1), max_size=n, unique=True))
+    y = []
+    for v in x:
+        choice = draw(st.integers(0, 5))
+        if choice < 2:
+            y.append(v)
+        elif choice < 5 and grid.adjacency[v]:
+            y.append(draw(st.sampled_from(grid.adjacency[v])))
+        else:
+            y.append(draw(vertex))
+    return grid, tuple(x), tuple(y)
+
+
+class TestSolutionIoMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(grids_with_solutions())
+    def test_format(self, case):
+        grid, configs = case
+        expected = reference_format_solution(configs, grid)
+        assert format_solution(configs, grid) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(solution_texts())
+    def test_parse(self, case):
+        grid, text = case
+        assert outcome(parse_solution, text, grid) == outcome(
+            reference_parse_solution, text, grid
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Two agents over three steps (six cells): canonical, leading
+            # zeros, padded bodies, CRLF, then a space, a negative, an
+            # outside and a blocked cell, a wrong arity, a bad step index,
+            # an empty body, no final newline, malformed bodies, a repeated
+            # step and a starts line that step 0 does not match.
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0),(2,1)\n2:(1,0),(2,1)\n",
+            "starts=(00,0),(2,01)\n0:(0,0),(2,1)\n1:(1,0),(02,1)\n2:(1,0),(2,1)\n",
+            "starts=  (0,0),(2,1)  \n0:\t(0,0),(2,1)\n1: (1,0),(2,1) \n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\r\n0:(0,0),(2,1)\r\n1:(1,0),(2,1)\r\n"
+            "2:(1,0),(2,1)\r\n\r\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0),(2, 1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(-1,0),(2,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0),(3,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0),(1,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n2:(1,0),(2,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0),(2,1)\n2:(1,0),(2,1)",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:(1,0)(2,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:((1,0),(2,1))\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:[1,0],[2,1]\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:[1,0),(2,1]\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(0,0),(2,1)\n1:()\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n1:(0,0),(2,1)\n1:(0,0),(2,1)\n2:(1,0),(2,1)\n",
+            "starts=(0,0),(2,1)\n0:(1,0),(2,1)\n1:(1,0),(2,1)\n2:(1,0),(2,1)\n",
+            # One agent over six steps.
+            "starts=(0,0)\n0:(0,0)\n1:[1,0]\n2:(1,0)\n3:(1,0)\n4:(1,0)\n5:(1,0)\n",
+            "starts=(0,0),(2,1)\n",
+            "starts=\n0:\n1:\n",
+            "",
+            "0:(0,0)\n",
+        ],
+    )
+    @pytest.mark.parametrize("rows", [2, 12], ids=["table", "per-vertex"])
+    def test_parse_cases(self, text, rows):
+        # Both maps start "..@" / "@@."; on the 2-row map (3 vertices) the
+        # six-cell cases are large enough to read through the lookup table,
+        # on the 12-row one (33 vertices) they are read per vertex.
+        body = "..@\n@@.\n" + "...\n" * (rows - 2)
+        grid = parse_map(f"type octile\nheight {rows}\nwidth 3\nmap\n{body}")
+        assert outcome(parse_solution, text, grid) == outcome(
+            reference_parse_solution, text, grid
+        )
+
+    @pytest.mark.parametrize("size", [(2, 1), (4, 4)], ids=["table", "per-vertex"])
+    @pytest.mark.parametrize("bad", [-1, "|V|", 1.0, None])
+    def test_format_rejects_non_vertex_ids_as_before(self, size, bad):
+        grid = open_grid(*size)
+        if bad == "|V|":
+            bad = grid.num_vertices
+        for configs in ([(0, bad), (0, 1)], [(0, 1), (bad, 1)]):
+            result = outcome(format_solution, configs, grid)
+            assert result == outcome(reference_format_solution, configs, grid)
+            assert result == (ValueError, f"invalid vertex id {bad!r}")
+
+    @pytest.mark.parametrize("size", [(2, 1), (4, 4)], ids=["table", "per-vertex"])
+    def test_format_numpy_ids_like_int(self, size):
+        np = pytest.importorskip("numpy")
+        grid = open_grid(*size)
+        configs = [np.array([0, 1]), (np.int64(1), np.int64(0))]
+        text = format_solution(configs, grid)
+        assert text == reference_format_solution(configs, grid)
+        assert text == format_solution([(0, 1), (1, 0)], grid)
+
+    def test_small_solution_builds_no_table(self, monkeypatch):
+        builds = []
+        for name in ("coord_texts", "coord_vertices"):
+            cache = GridMap.__dict__[name]
+
+            def counting(grid, name=name, build=cache.func):
+                builds.append(name)
+                return build(grid)
+
+            monkeypatch.setattr(cache, "func", counting)
+        grid = open_grid(4, 4)
+        configs = [(0, 15), (1, 14), (2, 13)] * 5  # 30 cells < 2 x 16 vertices
+        text = format_solution(configs, grid)
+        assert parse_solution(text, grid).configs == configs
+        assert builds == []
+        large = configs + configs[:1]  # 32 cells
+        text = format_solution(large, grid)
+        assert parse_solution(text, grid).configs == large
+        assert builds == ["coord_texts", "coord_vertices"]
+
+    def test_lone_cr_line_endings(self):
+        grid = open_grid(3, 2)
+        configs = [(0, 5), (1, 5), (2, 5)]
+        text = format_solution(configs, grid).replace("\n", "\r")
+        assert parse_solution(text, grid).configs == configs
+
+
+class TestTransitionMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(transitions())
+    @example((open_grid(3, 1), (0, 1), (1, 0)))  # swap
+    @example((open_grid(3, 1), (1, 1, 0), (0, 1, 1)))  # x collides
+    @example((open_grid(3, 1), (1, 1), (2, 0)))  # movers from one vertex
+    def test_random_pairs(self, case):
+        grid, x, y = case
+        assert _transition_violation(x, y, grid) == reference_transition_violation(
+            x, y, grid
+        )
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((-1, 0), (0, 1)),
+            ((-1, 0), (1, 0)),  # adjacency[-1] would hold 1
+            ((3, 0), (2, 0)),
+            ((1.0, 0), (2, 0)),
+            ((None, 0), (1, 2)),
+        ],
+    )
+    def test_non_vertex_source_raises_as_before(self, x, y):
+        grid = open_grid(3, 1)
+        result = outcome(_transition_violation, x, y, grid)
+        assert result == outcome(reference_transition_violation, x, y, grid)
+        assert result[0] is ValueError

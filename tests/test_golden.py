@@ -9,6 +9,7 @@ outputs says so and records new digests.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import random
 
@@ -16,6 +17,7 @@ import pytest
 
 import mapfkit.grid as grid
 from mapfkit import (
+    GridMap,
     Instance,
     Objective,
     PibtContext,
@@ -24,9 +26,11 @@ from mapfkit import (
     format_solution,
     parse_map,
     parse_scenario,
+    parse_solution,
     plan_step,
     solve,
     update_priorities,
+    validate,
 )
 
 from conftest import fixture_text, random_instance
@@ -107,6 +111,43 @@ def test_plain_lacam_searched_vertices(random32, monkeypatch):
     searched = sum(table.searched for table in tables)
     assert searched < random32.n * random32.grid.num_vertices
     assert searched == SEARCHED_VERTICES
+
+
+def test_solution_io_reads_lookup_tables(monkeypatch):
+    # Writing, re-reading and validating a solution reads each grid's text
+    # tables, built once, and makes no per-vertex call: a return to the
+    # per-vertex path fails here without any timing.
+    fresh = parse_map(fixture_text("random-32-32-20.map"))
+    scen = fixture_text("random-32-32-20.scen")
+    starts, goals = parse_scenario(scen, fresh, N_AGENTS)
+    instance = Instance(grid=fresh, starts=starts, goals=goals)
+    out = solve(instance, SolverOptions(anytime=False, seed=3))
+    calls: collections.Counter[str] = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (GridMap, "coords"),
+        (GridMap, "vertex_at"),
+        (grid.VertexGraph, "neighbors"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for name in ("coord_texts", "coord_vertices"):
+        cache = GridMap.__dict__[name]
+        monkeypatch.setattr(cache, "func", counting(f"build {name}", cache.func))
+
+    for _ in range(2):
+        text = format_solution(out.solution, fresh)
+        parsed = parse_solution(text, fresh)
+        assert validate(instance, parsed) is None
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_SOLVE_DIGEST
+    assert parsed.configs == out.solution.configs
+    assert calls == {"build coord_texts": 1, "build coord_vertices": 1}
 
 
 def test_anytime_status_and_cost(random32):
