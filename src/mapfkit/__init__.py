@@ -28,7 +28,6 @@ from .core import (
 )
 from .grid import (
     DistTable,
-    ExplicitGraph,
     GridMap,
     MapParseError,
     UNREACHABLE,
@@ -65,7 +64,6 @@ __all__ = [
     "Config",
     "Constraint",
     "DistTable",
-    "ExplicitGraph",
     "GridMap",
     "HighLevelNode",
     "INF_COST",

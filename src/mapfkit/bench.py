@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .core import Instance, Objective, heuristic, parse_scenario
+from .core import Instance, Objective, parse_scenario
 from .grid import GridMap, bfs_dist_table, parse_map
 from .lacam import SolveOutcome, SolveStatus, SolverOptions, solve
 
@@ -67,7 +67,8 @@ class ExperimentConfig:
             raise ValueError("random instances need gen_dir to write files into")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
-        # Check budgets now, not mid-sweep after gen_dir has been written to.
+        # Check map options and budgets now, not mid-sweep after gen_dir is written.
+        _check_random_map(*self.random_size, self.random_density)
         SolverOptions(time_budget=self.time_budget, iteration_budget=self.iteration_budget)
 
     def agent_counts(self) -> list[int]:
@@ -107,8 +108,8 @@ CSV_COLUMNS = (
 # Random instance generation
 
 
-def generate_map(width: int, height: int, density: float, rng: random.Random) -> GridMap:
-    """Random grid with ``floor(density * width * height)`` blocked cells."""
+def _check_random_map(width: int, height: int, density: float) -> int:
+    """Blocked cell count of a random map; raises ``ValueError`` if invalid."""
     if width <= 0 or height <= 0:
         raise ValueError("map dimensions must be positive")
     if not 0.0 <= density <= 1.0:
@@ -117,8 +118,14 @@ def generate_map(width: int, height: int, density: float, rng: random.Random) ->
     blocked = int(density * cells)
     if blocked >= cells:
         raise ValueError("density leaves no passable cells")
-    passable = [True] * cells
-    for cell in rng.sample(range(cells), blocked):
+    return blocked
+
+
+def generate_map(width: int, height: int, density: float, rng: random.Random) -> GridMap:
+    """Random grid with ``floor(density * width * height)`` blocked cells."""
+    blocked = _check_random_map(width, height, density)
+    passable = [True] * (width * height)
+    for cell in rng.sample(range(len(passable)), blocked):
         passable[cell] = False
     return GridMap(width, height, passable)
 
@@ -145,16 +152,14 @@ def largest_component(grid: GridMap) -> list[int]:
     return sorted(best)
 
 
-def sample_instance(
-    grid: GridMap, n: int, rng: random.Random, connected_only: bool = True
-) -> Instance:
+def sample_instance(grid: GridMap, n: int, rng: random.Random) -> Instance:
     """Random instance with distinct starts and distinct goals.
 
-    With ``connected_only`` the vertices are drawn from the largest
-    connected component, so the instance is guaranteed solvable for one
-    agent per pair and benchmark-style for many.
+    The vertices are drawn from the largest connected component, so the
+    instance is guaranteed solvable for one agent per pair and
+    benchmark-style for many.
     """
-    pool = largest_component(grid) if connected_only else list(range(grid.num_vertices))
+    pool = largest_component(grid)
     if n > len(pool):
         raise ValueError(f"cannot place {n} agents on {len(pool)} usable cells")
     starts = tuple(rng.sample(pool, n))
@@ -275,7 +280,7 @@ def _materialize_problems(cfg: ExperimentConfig) -> list[tuple[str, str]]:
             grid = generate_map(w, h, cfg.random_density, rng)
             pool_size = len(largest_component(grid))
             n_max = min(cfg.agents_max, pool_size)
-            instance = sample_instance(grid, n_max, rng, connected_only=True)
+            instance = sample_instance(grid, n_max, rng)
             stem = f"random-{w}-{h}-{int(cfg.random_density * 100)}-{k}"
             map_path, scen_path = write_instance_files(
                 cfg.gen_dir or ".", stem, grid, instance
@@ -396,17 +401,6 @@ def read_csv(path: str | Path) -> list[RunRecord]:
                 )
             )
     return records
-
-
-def normalized_final_cost(record: RunRecord, instance: Instance) -> float | None:
-    """final_cost divided by the sum of start-goal distances (quality score)."""
-    if record.final_cost is None:
-        return None
-    tables = [bfs_dist_table(instance.grid, g) for g in instance.goals]
-    lower_bound = heuristic(Objective.SUM_OF_LOSS, instance.starts, tables)
-    if lower_bound <= 0:
-        return None
-    return record.final_cost / lower_bound
 
 
 def summarize(records: Sequence[RunRecord]) -> list[dict[str, object]]:

@@ -241,7 +241,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 f"cannot place {n} agents: largest connected region has "
                 f"{len(pool)} cells"
             )
-        instance = bench.sample_instance(grid, n, rng, connected_only=True)
+        instance = bench.sample_instance(grid, n, rng)
         prefix = Path(args.output)
         map_path, scen_path = bench.write_instance_files(
             prefix.parent, prefix.name, grid, instance

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
@@ -96,12 +96,10 @@ class Violation:
 class Solution:
     """A sequence of configurations from the start to the goal configuration.
 
-    ``verified`` is set by :func:`validate` once the sequence has passed all
-    checks against an instance.
+    Check it against an instance with :func:`validate`.
     """
 
     configs: list[Config]
-    verified: bool = field(default=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -226,8 +224,8 @@ def is_connected(x: Config, y: Config, graph: VertexGraph) -> bool:
 def validate(instance: Instance, solution: Solution) -> Violation | None:
     """Check a solution against an instance; None means it is valid.
 
-    On success the solution's ``verified`` flag is set. The first violation
-    in temporal order is returned otherwise. The start configuration's own
+    Otherwise the first violation in temporal order is returned; the
+    solution itself is never modified. The start configuration's own
     collision-freedom is checked explicitly so externally produced files
     get full scrutiny. Each transition reads ``graph.adjacency`` for the
     agents that move only, and builds the agents of a vertex or edge
@@ -259,8 +257,6 @@ def validate(instance: Instance, solution: Solution) -> Violation | None:
     mismatched = tuple(i for i in range(n) if last[i] != instance.goals[i])
     if mismatched:
         return Violation(len(configs) - 1, ViolationKind.GOAL, mismatched)
-
-    solution.verified = True
     return None
 
 

@@ -8,7 +8,6 @@ integers instead of coordinates.
 from __future__ import annotations
 
 import operator
-import threading
 from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
@@ -106,9 +105,6 @@ class DistTable:
             self.settle(v)
         return entries[v]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class VertexGraph:
     """Unweighted undirected graph addressed by dense integer vertex ids.
@@ -118,20 +114,15 @@ class VertexGraph:
     of their target, so on a one-way arc they give distances from the
     target, not to it.
 
-    The graph is immutable after construction. :meth:`dist_table` searches
-    a target's table to the end the first time it is asked for and caches
-    it; cached tables are complete, so they never change again, and the
-    cache is lock-guarded so a shared graph can serve concurrent solver
-    runs. A solve does not use this cache: it creates its own tables with
-    :func:`bfs_dist_table` and searches them only as far as it reads.
+    The graph is immutable after construction and keeps no distance
+    tables, so one graph can serve concurrent solver runs. Each table
+    belongs to the caller that created it with :func:`bfs_dist_table`.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         self._adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in adjacency
         )
-        self._dist_tables: dict[int, DistTable] = {}
-        self._dist_lock = threading.Lock()
 
     @property
     def num_vertices(self) -> int:
@@ -164,22 +155,13 @@ class VertexGraph:
         return len(self._adjacency[self.check_vertex(v)])
 
     def dist_table(self, target: int) -> DistTable:
-        """The complete, shared distance table of ``target``."""
-        target = self.check_vertex(target)
-        table = self._dist_tables.get(target)
-        if table is None:
-            with self._dist_lock:
-                table = self._dist_tables.get(target)
-                if table is None:
-                    table = bfs_dist_table(self, target)
-                    table.finish()
-                    self._dist_tables[target] = table
+        """A new distance table to ``target``, searched to the end.
+
+        Its callers are the benchmark harness and tests; a solve reads lazy tables.
+        """
+        table = bfs_dist_table(self, target)
+        table.finish()
         return table
-
-
-# A graph built from an explicit adjacency list, for non-grid layouts in
-# tests and experiments: the solver stack only needs this interface.
-ExplicitGraph = VertexGraph
 
 
 class GridMap(VertexGraph):

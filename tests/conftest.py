@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mapfkit import ExplicitGraph, GridMap, Instance, parse_map
+from mapfkit import GridMap, Instance, VertexGraph, parse_map
 from mapfkit.bench import generate_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,14 +51,14 @@ def swap2_instance() -> Instance:
 
 
 @pytest.fixture(scope="session")
-def branch_graph() -> ExplicitGraph:
+def branch_graph() -> VertexGraph:
     """Path a-b-c plus d above b with an extra d-c edge, then e right of c.
 
     Not a grid: d is adjacent to both b and c. Used to exercise priority
     inheritance exactly as in the three-agent crossing scenario.
     Ids: a=0, b=1, c=2, d=3, e=4.
     """
-    return ExplicitGraph(
+    return VertexGraph(
         [
             (1,),  # a
             (0, 2, 3),  # b

@@ -245,7 +245,7 @@ def test_criterion_5_anytime_refinement():
         pool = largest_component(grid)
         if len(pool) < 40:
             continue
-        inst = sample_instance(grid, 20, rng, connected_only=True)
+        inst = sample_instance(grid, 20, rng)
         intermediate = []
 
         def on_improve(cost, solution, _inst=inst, _sink=intermediate):

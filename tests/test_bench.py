@@ -12,7 +12,6 @@ from mapfkit.bench import (
     SolverVariant,
     generate_map,
     largest_component,
-    normalized_final_cost,
     read_csv,
     run_suite,
     sample_instance,
@@ -52,7 +51,7 @@ class TestGeneration:
     def test_sampled_instances_are_distinct_and_connected(self):
         rng = random.Random(1)
         grid = generate_map(8, 8, 0.2, rng)
-        inst = sample_instance(grid, 10, rng, connected_only=True)
+        inst = sample_instance(grid, 10, rng)
         component = set(largest_component(grid))
         assert set(inst.starts) <= component and set(inst.goals) <= component
 
@@ -69,17 +68,21 @@ class TestGeneration:
         assert starts == inst.starts and goals == inst.goals
 
     def test_scenario_lengths_fill_no_graph_cache(self, monkeypatch):
-        # The optimal-length column reads one lazy table per agent; the
-        # graph's cache of complete tables stays empty.
+        # The optimal-length column reads one lazy table per agent, never
+        # a table searched to the end.
         def no_cache(graph, target):
-            raise AssertionError("scenario_text filled the graph's table cache")
+            raise AssertionError("scenario_text searched a complete table")
 
         monkeypatch.setattr(VertexGraph, "dist_table", no_cache)
-        rng = random.Random(3)
         # A blocked middle column leaves some start-goal pairs unreachable.
         terrain = "....@....\n.@..@..@.\n....@....\n"
         grid = parse_map("type octile\nheight 3\nwidth 9\nmap\n" + terrain)
-        inst = sample_instance(grid, 8, rng, connected_only=False)
+        at = grid.vertex_at
+        inst = Instance(
+            grid=grid,
+            starts=(at(0, 0), at(3, 2), at(5, 0), at(8, 2)),
+            goals=(at(8, 0), at(2, 0), at(5, 2), at(0, 1)),
+        )
         rows = scenario_text(grid, "m.map", inst).splitlines()[1:]
         assert "-1.0" in {row.split("\t")[8] for row in rows}
         for row, s, g in zip(rows, inst.starts, inst.goals):
@@ -89,12 +92,20 @@ class TestGeneration:
 
 class TestExperimentConfig:
     @pytest.mark.parametrize(
-        "budget", [{"iteration_budget": -1}, {"time_budget": float("nan")}, {"time_budget": -1.0}]
+        ("kwargs", "match"),
+        [
+            ({"iteration_budget": -1}, "budget"),
+            ({"time_budget": float("nan")}, "budget"),
+            ({"time_budget": -1.0}, "budget"),
+            ({"random_density": 1.5}, "density"),
+            ({"random_density": 1.0}, "passable"),
+            ({"random_size": (0, 4)}, "dimensions"),
+        ],
     )
-    def test_bad_budget_rejected_before_any_file_is_written(self, tmp_path, budget):
+    def test_bad_budget_rejected_before_any_file_is_written(self, tmp_path, kwargs, match):
         gen_dir = tmp_path / "gen"
-        with pytest.raises(ValueError, match="budget"):
-            small_cfg(tmp_path, random_count=2, gen_dir=str(gen_dir), **budget)
+        with pytest.raises(ValueError, match=match):
+            small_cfg(tmp_path, random_count=2, gen_dir=str(gen_dir), **kwargs)
         assert not gen_dir.exists()
 
 
@@ -227,16 +238,6 @@ class TestCsv:
 
 
 class TestAggregation:
-    def test_normalized_cost_matches_hand_computation(self):
-        # agents at distances 2 and 2; a final cost of 10 normalizes to 2.5
-        grid = generate_map(6, 1, 0.0, random.Random(0))
-        inst = Instance(grid=grid, starts=(0, 5), goals=(2, 3))
-        record = RunRecord(
-            map="m", scen="s", n=2, variant="full", seed=0, status="OPTIMAL",
-            init_time_ms=1.0, init_cost=12, final_cost=10, iterations=9,
-        )
-        assert normalized_final_cost(record, inst) == pytest.approx(2.5)
-
     def test_summarize_success_rate(self):
         make = lambda status, n: RunRecord(
             map="m", scen="s", n=n, variant="full", seed=0, status=status,

@@ -231,3 +231,23 @@ class TestBenchCommand:
              "-o", str(tmp_path / "r.csv")]
         )
         assert code == 64
+
+    @pytest.mark.parametrize(
+        ("option", "match"),
+        [
+            (["--density", "1.5"], "density"),
+            (["--density", "1.0"], "passable"),
+            (["--size", "0x4"], "dimensions"),
+        ],
+    )
+    def test_bad_random_map_is_usage_error(self, capsys, tmp_path, option, match):
+        gen_dir = tmp_path / "gen"
+        code = main(
+            ["bench", "--random", "1", *option, "--gen-dir", str(gen_dir),
+             "-o", str(tmp_path / "r.csv")]
+        )
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "invalid bench configuration" in err and match in err
+        assert "Traceback" not in err
+        assert not gen_dir.exists()

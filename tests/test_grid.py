@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapfkit import (
-    ExplicitGraph,
     GridMap,
+    Instance,
     MapParseError,
+    SolverOptions,
     UNREACHABLE,
+    VertexGraph,
     bfs_dist_table,
+    format_solution,
     parse_map,
+    parse_solution,
+    solve,
+    validate,
 )
 from mapfkit.bench import generate_map
 
@@ -138,9 +144,6 @@ class TestDistTable:
                     if table[v] != UNREACHABLE and table[u] != UNREACHABLE:
                         assert abs(table[v] - table[u]) <= 1
 
-    def test_dist_table_cached(self, tunnel_grid):
-        assert tunnel_grid.dist_table(3) is tunnel_grid.dist_table(3)
-
     def test_cached_table_is_complete(self, tunnel_grid):
         table = tunnel_grid.dist_table(2)
         assert table.level == table.pending
@@ -153,7 +156,7 @@ class TestDistTable:
         table = bfs_dist_table(tunnel_grid, v)
         assert type(table.target) is int and table.target == 3
         assert table.dist == bfs_dist_table(tunnel_grid, 3).dist
-        assert tunnel_grid.dist_table(v) is tunnel_grid.dist_table(3)
+        assert tunnel_grid.dist_table(v).dist == tunnel_grid.dist_table(3).dist
         assert tunnel_grid.neighbors(v) == tunnel_grid.neighbors(3)
         assert tunnel_grid.degree(v) == tunnel_grid.degree(3)
         assert type(tunnel_grid.check_vertex(v)) is int
@@ -162,6 +165,20 @@ class TestDistTable:
                 bfs_dist_table(tunnel_grid, bad)
             with pytest.raises(ValueError):
                 tunnel_grid.dist_table(bad)
+
+    def test_graph_holds_no_mutable_state(self):
+        grid = parse_map(fixture_text("tunnel.map"))
+        before = set(vars(grid))
+        instance = Instance(grid=grid, starts=(3, 4), goals=(4, 3))
+        grid.dist_table(3)
+        bfs_dist_table(grid, 4)[0]
+        outcome = solve(instance, SolverOptions(iteration_budget=200, seed=0))
+        assert validate(instance, outcome.solution) is None
+        text = format_solution(outcome.solution, grid)
+        assert parse_solution(text, grid) == outcome.solution
+        state = vars(grid)
+        assert not [k for k, v in state.items() if isinstance(v, (dict, list, set))]
+        assert before <= set(state) <= before | {"coord_texts", "coord_vertices"}
 
 
 def reference_bfs(adjacency, target: int) -> list[int]:
@@ -206,7 +223,7 @@ def explicit_graphs_with_target(draw):
     for a, b in edges:
         rows[a].add(b)
         rows[b].add(a)
-    graph = ExplicitGraph([sorted(row) for row in rows])
+    graph = VertexGraph([sorted(row) for row in rows])
     return graph, draw(st.integers(0, n - 1))
 
 

@@ -38,7 +38,7 @@ def test_every_trace_point_is_called(monkeypatch):
     for module, name in TRACE_POINTS:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
-    # A freshly parsed grid, so that no cached distance table hides the BFS.
+    # Each solve creates its own tables, one bfs_dist_table call per agent.
     tunnel = parse_map(fixture_text("tunnel.map"))
     out = solve(
         Instance(grid=tunnel, starts=(3, 4), goals=(4, 3)),
