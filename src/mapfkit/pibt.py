@@ -49,9 +49,9 @@ def bumped_priorities(
     priorities stay pairwise distinct.
     """
     n = len(q)
-    base = initial_priorities(n)
     return [
-        previous[i] + 1.0 if q[i] != goals[i] else base[i] for i in range(n)
+        previous[i] + 1.0 if q[i] != goals[i] else (n - i - 1) / n
+        for i in range(n)
     ]
 
 
@@ -115,31 +115,6 @@ def update_priorities(ctx: PibtContext, q: Config) -> None:
     ctx.priorities = bumped_priorities(ctx.priorities, q, ctx.goals)
 
 
-def pin_problem(graph: VertexGraph, q_from: Config, pins: dict[int, int]) -> str | None:
-    """Why the pins are malformed, or None if they are acceptable."""
-    if not pins:
-        return None
-    n = len(q_from)
-    adjacency = graph.adjacency
-    targets: dict[int, int] = {}
-    at: dict[int, int] = {}
-    for agent, v in pins.items():
-        if not 0 <= agent < n:
-            return f"pin names unknown agent {agent}"
-        here = q_from[agent]
-        if v != here and v not in adjacency[here]:
-            return f"pin for agent {agent} is outside its neighborhood"
-        if v in targets:
-            return f"agents {targets[v]} and {agent} pinned to one vertex"
-        targets[v] = agent
-        at[here] = agent
-    for agent, v in pins.items():
-        other = at.get(v)
-        if other is not None and other != agent and pins[other] == q_from[agent]:
-            return f"agents {agent} and {other} pinned to exchange vertices"
-    return None
-
-
 def _fisher_yates_steps(length: int) -> tuple[tuple[int, int], ...]:
     """The (k, bits) pairs of ``Random.shuffle`` over ``length`` items.
 
@@ -188,135 +163,136 @@ def plan_step(
     staying put, sorted by distance to its goal with ties broken by a
     seeded shuffle. Failure (None) occurs only when the pins leave some
     agent without any legal assignment. Malformed pins raise
-    :class:`PinError` instead.
+    :class:`PinError` instead; each pin is checked as it is written into
+    the occupancy map, so the first malformed one in dict order is named.
+    However the call ends, the context's scratch maps are left empty.
     """
     if len(q_from) != ctx.n:
         raise ValueError("configuration length does not match context")
-    if pins is None:
-        pins = {}
-    problem = pin_problem(ctx.graph, q_from, pins)
-    if problem is not None:
-        raise PinError(problem)
-
     adjacency = ctx._adjacency
-    dists = ctx._dists
-    big = ctx._big
-    shuffle_steps = ctx._shuffle_steps
-    getrandbits = ctx.rng.getrandbits
-    swap_enabled = ctx.swap_enabled
     occ_from = ctx._occupied_from
     occ_to = ctx._occupied_to
     q_to: list[int] = [_UNDECIDED] * ctx.n
     touched_to: list[int] = []
     touch = touched_to.append
 
-    for i, v in enumerate(q_from):
-        occ_from[v] = i
-    for agent, v in pins.items():
-        q_to[agent] = v
-        occ_to[v] = agent
-        touch(v)
+    try:
+        for i, v in enumerate(q_from):
+            occ_from[v] = i
+        # Check pins before the closures exist: each closure pair is a
+        # reference cycle, and rejected calls should leave no such garbage.
+        if pins:
+            for agent, v in pins.items():
+                if not 0 <= agent < ctx.n:
+                    raise PinError(f"pin names unknown agent {agent}")
+                here = q_from[agent]
+                if v != here and v not in adjacency[here]:
+                    raise PinError(f"pin for agent {agent} is outside its neighborhood")
+                if occ_to[v] != _NO_AGENT:
+                    raise PinError(f"agents {occ_to[v]} and {agent} pinned to one vertex")
+                k = occ_from[v]
+                if k != _NO_AGENT and q_to[k] == here:
+                    raise PinError(f"agents {k} and {agent} pinned to exchange vertices")
+                q_to[agent] = v
+                occ_to[v] = agent
+                touch(v)
 
-    def assign(i: int) -> bool:
-        """Plan agent ``i``; returns False if it had to stay put blocked."""
-        here = q_from[i]
-        cand = [*adjacency[here], here]
-        _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
-        dist = dists[i]
-        # Stable sort by distance; ties keep their shuffled order. Entries
-        # the table has not searched yet hold ``big`` and sort last, above
-        # every final distance, so one look at the last candidate tells
-        # whether any is pending. If one is, settling ``here`` makes every
-        # candidate final, and sorting the sorted list again gives the
-        # order one sort of the final values would. UNREACHABLE (-1) would
-        # sort first, so only then sort again with it ranked last.
-        cand.sort(key=dist.__getitem__)
-        if dist[cand[-1]] == big:
-            # Read through ctx: one more name captured from plan_step would
-            # cost a closure cell on every call.
-            ctx.dist_tables[i].settle(here)
+        dists = ctx._dists
+        big = ctx._big
+        shuffle_steps = ctx._shuffle_steps
+        getrandbits = ctx.rng.getrandbits
+        swap_enabled = ctx.swap_enabled
+
+        def assign(i: int) -> bool:
+            """Plan agent ``i``; returns False if it had to stay put blocked."""
+            here = q_from[i]
+            cand = [*adjacency[here], here]
+            _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
+            dist = dists[i]
+            # Stable sort by distance; ties keep their shuffled order. Entries
+            # the table has not searched yet hold ``big`` and sort last, above
+            # every final distance, so one look at the last candidate tells
+            # whether any is pending. If one is, settling ``here`` makes every
+            # candidate final, and sorting the sorted list again gives the
+            # order one sort of the final values would. UNREACHABLE (-1) would
+            # sort first, so only then sort again with it ranked last.
             cand.sort(key=dist.__getitem__)
-        if dist[cand[0]] == UNREACHABLE:
-            cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
+            if dist[cand[-1]] == big:
+                # Read through ctx: one more name captured from plan_step would
+                # cost a closure cell on every call.
+                ctx.dist_tables[i].settle(here)
+                cand.sort(key=dist.__getitem__)
+            if dist[cand[0]] == UNREACHABLE:
+                cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
 
-        partner = _NO_AGENT
-        if swap_enabled:
-            partner_or_none = swap_required_and_possible(
-                ctx, i, q_from, cand[0], occ_from
-            )
-            if partner_or_none is None:
-                partner_or_none = _clear_target(ctx, i, q_from, cand[0], occ_from)
-            if partner_or_none is not None:
-                partner = partner_or_none
-                cand.reverse()
-        head = cand[0]
+            partner = _NO_AGENT
+            if swap_enabled:
+                partner_or_none = swap_required_and_possible(
+                    ctx, i, q_from, cand[0], occ_from
+                )
+                if partner_or_none is None:
+                    partner_or_none = _clear_target(ctx, i, q_from, cand[0], occ_from)
+                if partner_or_none is not None:
+                    partner = partner_or_none
+                    cand.reverse()
+            head = cand[0]
 
-        for v in cand:
-            if occ_to[v] != _NO_AGENT:
-                continue
-            k = occ_from[v]
-            if k != _NO_AGENT and k != i and q_to[k] == here:
-                continue  # the agent leaving v would be exchanged with i
-            occ_to[v] = i
-            touch(v)
-            q_to[i] = v
-            if k != _NO_AGENT and k != i and q_to[k] == _UNDECIDED:
-                if not assign(k):
-                    # k ended up staying on v; our reservation was replaced.
+            for v in cand:
+                if occ_to[v] != _NO_AGENT:
                     continue
-            if v == head and partner != _NO_AGENT and q_to[partner] == _UNDECIDED:
-                _pull(partner, here)
-            return True
-        q_to[i] = here
-        occ_to[here] = i
-        touch(here)
-        return False
+                k = occ_from[v]
+                if k != _NO_AGENT and k != i and q_to[k] == here:
+                    continue  # the agent leaving v would be exchanged with i
+                occ_to[v] = i
+                touch(v)
+                q_to[i] = v
+                if k != _NO_AGENT and k != i and q_to[k] == _UNDECIDED:
+                    if not assign(k):
+                        # k ended up staying on v; our reservation was replaced.
+                        continue
+                if v == head and partner != _NO_AGENT and q_to[partner] == _UNDECIDED:
+                    _pull(partner, here)
+                return True
+            q_to[i] = here
+            occ_to[here] = i
+            touch(here)
+            return False
 
-    def _pull(agent: int, target: int) -> None:
-        """Pull ``agent`` onto the vertex just vacated, if that stays legal."""
-        if occ_to[target] != _NO_AGENT:
-            return
-        k = occ_from[target]
-        if k != _NO_AGENT and k != agent and q_to[k] == q_from[agent]:
-            return
-        q_to[agent] = target
-        occ_to[target] = agent
-        touch(target)
+        def _pull(agent: int, target: int) -> None:
+            """Pull ``agent`` onto the vertex just vacated, if that stays legal."""
+            if occ_to[target] != _NO_AGENT:
+                return
+            k = occ_from[target]
+            if k != _NO_AGENT and k != agent and q_to[k] == q_from[agent]:
+                return
+            q_to[agent] = target
+            occ_to[target] = agent
+            touch(target)
 
-    if order is None:
-        order = priority_order(ctx.priorities)
-    for i in order:
-        if q_to[i] == _UNDECIDED:
-            assign(i)
+        if order is None:
+            order = priority_order(ctx.priorities)
+        for i in order:
+            if q_to[i] == _UNDECIDED:
+                assign(i)
 
-    # Pins can force an agent into an unresolvable stay; reject such outputs.
-    # Adjacency holds by construction, so only collisions need re-checking:
-    # an agent whose final vertex is owned by someone else in the occupancy
-    # map was overwritten, i.e. two agents share a vertex.
-    ok = True
-    for i in range(ctx.n):
-        v = q_to[i]
-        if v == _UNDECIDED or occ_to[v] != i:
-            ok = False
-            break
-        if v != q_from[i]:
-            k = occ_from[v]
-            if k != _NO_AGENT and k != i and q_to[k] == q_from[i]:
-                ok = False
-                break
-
-    result = tuple(q_to)
-    for v in q_from:
-        occ_from[v] = _NO_AGENT
-    for v in touched_to:
-        occ_to[v] = _NO_AGENT
-
-    if not ok:
-        return None
-    for agent, v in pins.items():
-        if result[agent] != v:
-            return None
-    return result
+        # Pins can force an agent into an unresolvable stay; reject such
+        # outputs. Pinned agents keep their pins and moves are adjacent by
+        # construction, so only collisions need re-checking: an agent that
+        # does not own its final vertex in the occupancy map was overwritten.
+        for i in range(ctx.n):
+            v = q_to[i]
+            if v == _UNDECIDED or occ_to[v] != i:
+                return None
+            if v != q_from[i]:
+                k = occ_from[v]
+                if k != _NO_AGENT and k != i and q_to[k] == q_from[i]:
+                    return None
+        return tuple(q_to)
+    finally:
+        for v in touched_to:
+            occ_to[v] = _NO_AGENT
+        for v in q_from:
+            occ_from[v] = _NO_AGENT
 
 
 def _best_step_toward(
@@ -346,66 +322,47 @@ def _swap_required(
 ) -> bool:
     """Emulate the pusher advancing into the retreater's cell.
 
-    The retreater always backs off to its best cell other than the pusher's,
+    The retreater always backs off to its cell other than the pusher's,
     ignoring all other agents. The swap is required if the retreater gets
     cornered in a dead end, or if the pusher arrives at its goal while the
     retreater's only improving move is through that goal. It is not required
     once the retreater reaches a vertex of degree above two. The walk is
     bounded by the vertex count; running out of budget counts as no.
-    ``table`` is the retreater's goal table; the walk settles each vertex
-    of the retreater before it reads distances around it.
+    The pusher stands next to the retreater, so with symmetric adjacency a
+    corridor vertex leaves one cell to back off to and no distance is read
+    there; ``table``, the retreater's goal table, is read (settled) only
+    once the pusher is on its goal.
     """
     adjacency = ctx._adjacency
-    big = ctx._big
-    dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
-        deg = len(row)
-        if deg == 1:
+        if len(row) < 2:
             return True
         if v_pusher == pusher_goal:
             table.settle(v_retreater)
-            return _best_step_toward(adjacency, dist, v_retreater) == pusher_goal
-        if deg > 2:
+            return _best_step_toward(adjacency, table.entries, v_retreater) == pusher_goal
+        if len(row) > 2:
             return False
-        cells = [u for u in row if u != v_pusher]
-        if not cells:
-            return True
-        table.settle(v_retreater)
-        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
-        v_pusher, v_retreater = v_retreater, step
+        v_pusher, v_retreater = v_retreater, row[row[0] == v_pusher]
     return False
 
 
-def _swap_possible(
-    ctx: PibtContext,
-    table: DistTable,
-    v_advancer: int,
-    v_retreater: int,
-) -> bool:
+def _swap_possible(ctx: PibtContext, v_advancer: int, v_retreater: int) -> bool:
     """Emulate the reversed direction: the retreater backs away instead.
 
     Possible once the retreater stands on a vertex of degree above two
     (room to rotate); impossible if it hits a dead end. Bounded like
-    :func:`_swap_required`; ``table`` is the retreater's goal table,
-    settled as in :func:`_swap_required`.
+    :func:`_swap_required`, and like it reads no distance: in a corridor the
+    cell away from the advancer is the only one left.
     """
     adjacency = ctx._adjacency
-    big = ctx._big
-    dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
-        deg = len(row)
-        if deg > 2:
+        if len(row) > 2:
             return True
-        if deg == 1:
+        if len(row) < 2:
             return False
-        cells = [u for u in row if u != v_advancer]
-        if not cells:
-            return False
-        table.settle(v_retreater)
-        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
-        v_advancer, v_retreater = v_retreater, step
+        v_advancer, v_retreater = v_retreater, row[row[0] == v_advancer]
     return False
 
 
@@ -431,10 +388,9 @@ def swap_required_and_possible(
         return None
     if len(ctx._adjacency[best_candidate]) > 2:
         return None
-    tables = ctx.dist_tables
     if _swap_required(
-        ctx, ctx.goals[i], tables[j], q_from[i], q_from[j]
-    ) and _swap_possible(ctx, tables[i], q_from[j], q_from[i]):
+        ctx, ctx.goals[i], ctx.dist_tables[j], q_from[i], q_from[j]
+    ) and _swap_possible(ctx, q_from[j], q_from[i]):
         return j
     return None
 
@@ -459,12 +415,10 @@ def _clear_target(
     tables = ctx.dist_tables
     for u in ctx._adjacency[here]:
         k = occupied_from[u]
-        if k == _NO_AGENT or k == i:
-            continue
-        if q_from[k] == best_candidate:
+        if k == _NO_AGENT or k == i or q_from[k] == best_candidate:
             continue
         if _swap_required(
             ctx, ctx.goals[k], tables[i], here, best_candidate
-        ) and _swap_possible(ctx, tables[k], best_candidate, here):
+        ) and _swap_possible(ctx, best_candidate, here):
             return k
     return None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -16,7 +17,10 @@ from mapfkit import (
     swap_required_and_possible,
     update_priorities,
 )
+from mapfkit.grid import UNREACHABLE
 from mapfkit.pibt import (
+    _best_step_toward,
+    _clear_target,
     _fisher_yates_steps,
     _shuffle,
     bumped_priorities,
@@ -320,3 +324,245 @@ class TestDeterminismAndSafety:
             assert is_connected(q, q_to, inst.grid)
             for agent, v in pins.items():
                 assert q_to[agent] == v
+
+
+class TestScratchRestored:
+    """A call that raises leaves the context as a fresh one would be."""
+
+    GRID = GridMap(4, 3, [c == "." for c in "...#...#...."])
+
+    @pytest.mark.parametrize(
+        "q_from, pins, order, error, match",
+        [
+            ((7, 6), None, [2], IndexError, "out of range"),  # no agent 2
+            ((7, 6, 10), None, None, IndexError, "out of range"),  # no vertex 10
+            ((7, 6, 9), {0: 6, 1: 7}, None, PinError, "exchange"),
+            ((7, 6, 9), {1: 3, 0: 8, 2: 8}, None, PinError, "one vertex"),
+        ],
+    )
+    def test_failed_call_leaves_scratch_empty(self, q_from, pins, order, error, match):
+        goals = (1, 9, 5)[: len(q_from)]
+        ctx = PibtContext(self.GRID, goals, seed=23)
+        with pytest.raises(error, match=match):
+            plan_step(ctx, q_from, pins, order)
+        assert ctx._occupied_from == [-1] * self.GRID.num_vertices
+        assert ctx._occupied_to == [-1] * self.GRID.num_vertices
+        q_next = (0, 8, 4)[: len(q_from)]
+        fresh = PibtContext(self.GRID, goals, seed=23)
+        assert plan_step(ctx, q_next) == plan_step(fresh, q_next)
+
+    def test_rejected_pins_leave_no_cycle_garbage(self, tunnel_grid):
+        # Pins are checked before the step's closures are built; a closure
+        # pair is a reference cycle that outlives the call until collected.
+        ctx = PibtContext(tunnel_grid, (4, 3), seed=0)
+        bad = [{0: 5}, {0: 4, 1: 4}, {0: 4, 1: 3}, {1: 5, 0: 4, 2: 1}]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for k in range(200):
+                try:
+                    plan_step(ctx, (3, 4), bad[k % len(bad)])
+                except PinError:
+                    pass
+                else:
+                    raise AssertionError("pins were accepted")
+            left = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert left < 200
+
+
+# References: the pin check and the swap walks as they were before plan_step
+# checked pins in its occupancy maps and the walks stopped reading distances.
+
+
+def reference_pin_problem(graph, q_from, pins):
+    """Why the pins are malformed, or None if they are acceptable."""
+    if not pins:
+        return None
+    n = len(q_from)
+    adjacency = graph.adjacency
+    targets = {}
+    at = {}
+    for agent, v in pins.items():
+        if not 0 <= agent < n:
+            return f"pin names unknown agent {agent}"
+        here = q_from[agent]
+        if v != here and v not in adjacency[here]:
+            return f"pin for agent {agent} is outside its neighborhood"
+        if v in targets:
+            return f"agents {targets[v]} and {agent} pinned to one vertex"
+        targets[v] = agent
+        at[here] = agent
+    for agent, v in pins.items():
+        other = at.get(v)
+        if other is not None and other != agent and pins[other] == q_from[agent]:
+            return f"agents {agent} and {other} pinned to exchange vertices"
+    return None
+
+
+def reference_swap_required(ctx, pusher_goal, table, v_pusher, v_retreater):
+    adjacency = ctx._adjacency
+    big = ctx._big
+    dist = table.entries
+    for _ in range(len(adjacency)):
+        row = adjacency[v_retreater]
+        deg = len(row)
+        if deg == 1:
+            return True
+        if v_pusher == pusher_goal:
+            table.settle(v_retreater)
+            return _best_step_toward(adjacency, dist, v_retreater) == pusher_goal
+        if deg > 2:
+            return False
+        cells = [u for u in row if u != v_pusher]
+        if not cells:
+            return True
+        table.settle(v_retreater)
+        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
+        v_pusher, v_retreater = v_retreater, step
+    return False
+
+
+def reference_swap_possible(ctx, table, v_advancer, v_retreater):
+    adjacency = ctx._adjacency
+    big = ctx._big
+    dist = table.entries
+    for _ in range(len(adjacency)):
+        row = adjacency[v_retreater]
+        deg = len(row)
+        if deg > 2:
+            return True
+        if deg == 1:
+            return False
+        cells = [u for u in row if u != v_advancer]
+        if not cells:
+            return False
+        table.settle(v_retreater)
+        step = min(cells, key=lambda u: (dist[u] if dist[u] != UNREACHABLE else big, u))
+        v_advancer, v_retreater = v_retreater, step
+    return False
+
+
+def reference_swap_partner(ctx, i, q_from, best_candidate, occupied_from):
+    if best_candidate == q_from[i]:
+        return None
+    j = occupied_from[best_candidate]
+    if j == -1 or j == i:
+        return None
+    if len(ctx._adjacency[best_candidate]) > 2:
+        return None
+    tables = ctx.dist_tables
+    if reference_swap_required(
+        ctx, ctx.goals[i], tables[j], q_from[i], q_from[j]
+    ) and reference_swap_possible(ctx, tables[i], q_from[j], q_from[i]):
+        return j
+    return None
+
+
+def reference_clear_target(ctx, i, q_from, best_candidate, occupied_from):
+    here = q_from[i]
+    if best_candidate == here:
+        return None
+    tables = ctx.dist_tables
+    for u in ctx._adjacency[here]:
+        k = occupied_from[u]
+        if k == -1 or k == i:
+            continue
+        if q_from[k] == best_candidate:
+            continue
+        if reference_swap_required(
+            ctx, ctx.goals[k], tables[i], here, best_candidate
+        ) and reference_swap_possible(ctx, tables[k], best_candidate, here):
+            return k
+    return None
+
+
+@st.composite
+def walled_instances(draw):
+    """A grid up to 6x6 with random walls, and agents on distinct cells."""
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 6))
+    passable = draw(
+        st.lists(st.booleans(), min_size=width * height, max_size=width * height)
+    )
+    passable[draw(st.integers(0, width * height - 1))] = True
+    grid = GridMap(width, height, passable)
+    vertices = range(grid.num_vertices)
+    n = draw(st.integers(1, min(5, grid.num_vertices)))
+    starts = tuple(draw(st.permutations(vertices))[:n])
+    goals = tuple(draw(st.permutations(vertices))[:n])
+    return grid, starts, goals
+
+
+def first_malformed_prefix_problem(graph, q_from, pins):
+    """The reference's verdict on the shortest malformed prefix of ``pins``."""
+    items = list(pins.items())
+    for k in range(1, len(items) + 1):
+        problem = reference_pin_problem(graph, q_from, dict(items[:k]))
+        if problem is not None:
+            return problem
+    return None
+
+
+class TestMatchesReference:
+    @given(instance=walled_instances(), data=st.data())
+    def test_pin_errors(self, instance, data):
+        grid, starts, goals = instance
+        n = len(starts)
+        pins = {}
+        for agent in data.draw(st.lists(st.integers(-1, n), max_size=n + 1)):
+            if 0 <= agent < n and data.draw(st.integers(0, 9)) < 9:
+                here = starts[agent]
+                choices = [*grid.neighbors(here), here]
+            else:
+                choices = range(grid.num_vertices)
+            pins[agent] = data.draw(st.sampled_from(choices))
+        expected = reference_pin_problem(grid, starts, pins)
+        ctx = PibtContext(grid, goals, seed=0)
+        if expected is None:
+            q_to = plan_step(ctx, starts, pins)
+            assert q_to is None or all(q_to[a] == v for a, v in pins.items())
+            return
+        with pytest.raises(PinError) as info:
+            plan_step(ctx, starts, pins)
+        # The first malformed pin in dict order is named; when it is the
+        # last pin, that is the reference's own message.
+        assert str(info.value) == first_malformed_prefix_problem(grid, starts, pins)
+
+    @given(instance=walled_instances())
+    def test_swap_walks(self, instance):
+        grid, starts, goals = instance
+        ctx = PibtContext(grid, goals, seed=0)
+        ref = PibtContext(grid, goals, seed=0)
+        occupied = occupancy(grid, starts)
+        for i, here in enumerate(starts):
+            for u in [*grid.neighbors(here), here]:
+                assert swap_required_and_possible(
+                    ctx, i, starts, u, occupied
+                ) == reference_swap_partner(ref, i, starts, u, occupied)
+                assert _clear_target(
+                    ctx, i, starts, u, occupied
+                ) == reference_clear_target(ref, i, starts, u, occupied)
+
+    def test_swap_walks_on_random_maps(self):
+        rng = random.Random(18)
+        hits = [0, 0]
+        for trial in range(40):
+            inst = random_instance(rng, 8, 8, 0.35, 12)
+            if inst is None:
+                continue
+            ctx = PibtContext(inst.grid, inst.goals, seed=trial)
+            ref = PibtContext(inst.grid, inst.goals, seed=trial)
+            q = inst.starts
+            occupied = occupancy(inst.grid, q)
+            for i, v in enumerate(q):
+                for u in inst.grid.neighbors(v):
+                    partner = reference_swap_partner(ref, i, q, u, occupied)
+                    assert swap_required_and_possible(ctx, i, q, u, occupied) == partner
+                    behind = reference_clear_target(ref, i, q, u, occupied)
+                    assert _clear_target(ctx, i, q, u, occupied) == behind
+                    hits[0] += partner is not None
+                    hits[1] += behind is not None
+        assert min(hits) > 0
