@@ -159,6 +159,8 @@ def sample_instance(grid: GridMap, n: int, rng: random.Random) -> Instance:
     instance is guaranteed solvable for one agent per pair and
     benchmark-style for many.
     """
+    if n < 0:
+        raise ValueError("agent count must be nonnegative")
     pool = largest_component(grid)
     if n > len(pool):
         raise ValueError(f"cannot place {n} agents on {len(pool)} usable cells")
@@ -439,6 +441,7 @@ def write_summary_csv(rows: Sequence[dict[str, object]], path: str | Path) -> Pa
         "median_init_time_ms",
         "median_final_cost",
     )
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

@@ -128,6 +128,13 @@ def _load_instance(map_path: str, scen_path: str, n: int) -> Instance:
     return Instance(grid=grid, starts=starts, goals=goals)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         instance = _load_instance(args.map, args.scen, args.agents)
@@ -163,14 +170,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         for ms, c in outcome.stats.trace:
             print(f"improvement: {ms:.1f}ms cost={c}")
 
-    if outcome.solution is not None and args.output:
-        Path(args.output).write_text(
-            format_solution(outcome.solution, instance.grid)
-        )
-    if args.trace:
-        lines = ["elapsed_ms,cost"]
-        lines += [f"{ms!r},{c}" for ms, c in outcome.stats.trace]
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+    try:
+        if outcome.solution is not None and args.output:
+            _write_text(args.output, format_solution(outcome.solution, instance.grid))
+        if args.trace:
+            lines = ["elapsed_ms,cost"]
+            lines += [f"{ms!r},{c}" for ms, c in outcome.stats.trace]
+            _write_text(args.trace, "\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return _EXIT_CODES[outcome.status]
 
 
@@ -216,11 +225,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: invalid bench configuration: {exc}", file=sys.stderr)
         return USAGE_ERROR
     records = bench.run_suite(cfg)
-    bench.write_csv(records, args.output)
-    print(f"wrote {len(records)} records to {args.output}")
-    if args.summary:
-        bench.write_summary_csv(bench.summarize(records), args.summary)
-        print(f"wrote summary to {args.summary}")
+    try:
+        bench.write_csv(records, args.output)
+        print(f"wrote {len(records)} records to {args.output}")
+        if args.summary:
+            bench.write_summary_csv(bench.summarize(records), args.summary)
+            print(f"wrote summary to {args.summary}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return 0
 
 

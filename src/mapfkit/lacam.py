@@ -20,7 +20,6 @@ import heapq
 import itertools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -38,10 +37,7 @@ from .grid import VertexGraph
 from .pibt import (
     PibtContext,
     PinError,
-    bumped_priorities,
-    initial_priorities,
     plan_step,
-    priority_order,
 )
 
 
@@ -61,17 +57,25 @@ class Constraint:
 
 @dataclass(eq=False, slots=True)
 class HighLevelNode:
-    """Search node: one per discovered configuration."""
+    """Search node: one per discovered configuration.
+
+    A run keeps every node, so the fields are kept small. ``tree`` is the
+    constraint queue, read from index ``popped`` on and emptied once spent.
+    ``steps`` holds :func:`step_counts` and, below the root, ``order`` is
+    their :func:`step_order`.
+    """
 
     config: Config
-    tree: deque[Constraint]
-    parent: HighLevelNode | None
+    tree: list[Constraint]
+    popped: int
+    # Left out of the repr, which would otherwise walk the whole search graph.
+    parent: HighLevelNode | None = field(repr=False)
     # Successor -> weight of the arc to it, in the order the arcs were found.
-    neighbors: dict[HighLevelNode, int]
+    neighbors: dict[HighLevelNode, int] = field(repr=False)
     g: int
     h: int
     order: list[int]
-    priorities: list[float]
+    steps: tuple[int, ...]
 
 
 class SolveStatus(Enum):
@@ -141,6 +145,25 @@ def get_init_order(instance: Instance, dist_tables) -> list[int]:
         range(instance.n),
         key=lambda i: (-dist_tables[i][instance.starts[i]], i),
     )
+
+
+def step_counts(previous: tuple[int, ...], q: Config, goals: Config) -> tuple[int, ...]:
+    """Per agent, the steps taken since it last stood on its goal, at ``q``.
+
+    The integer form of :func:`mapfkit.pibt.bumped_priorities`: an agent off
+    its goal gains one, an agent on it starts over at zero.
+    """
+    return tuple([s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
+
+
+def step_order(steps: tuple[int, ...]) -> list[int]:
+    """Agents by descending step count, ties by ascending id.
+
+    The same order :func:`mapfkit.pibt.priority_order` gives for the float
+    priorities, whose fractional part breaks ties by id: the sort is stable
+    and ``reverse`` keeps tied agents in their ascending order.
+    """
+    return sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
 
 
 def low_level_expand(node: HighLevelNode, constraint: Constraint, graph: VertexGraph) -> None:
@@ -298,13 +321,14 @@ class _Search:
         dist_tables = self.ctx.dist_tables
         self.root = HighLevelNode(
             config=instance.starts,
-            tree=deque([Constraint()]),
+            tree=[Constraint()],
+            popped=0,
             parent=None,
             neighbors={},
             g=0,
             h=heuristic(opts.objective, instance.starts, dist_tables),
             order=get_init_order(instance, dist_tables),
-            priorities=initial_priorities(instance.n),
+            steps=(0,) * instance.n,
         )
         self.open_stack: list[HighLevelNode] = []
         self.explored: dict[Config, HighLevelNode] = {}
@@ -356,12 +380,21 @@ class _Search:
             open_stack.pop()
             return True
 
-        if not node.tree:
+        tree = node.tree
+        popped = node.popped
+        if popped == len(tree):
             open_stack.pop()
             return True
 
-        constraint = node.tree.popleft()
+        constraint = tree[popped]
+        popped += 1
         low_level_expand(node, constraint, self.ctx.graph)
+        if popped == len(tree):
+            # Spent: free the constraints that no child refers to. The
+            # node still reads as exhausted.
+            tree.clear()
+            popped = 0
+        node.popped = popped
         q_new = generate_configuration(node, constraint, self.ctx)
         if q_new is None:
             return True
@@ -381,17 +414,18 @@ class _Search:
             else:
                 open_stack.append(known)
         else:
-            child_priorities = bumped_priorities(node.priorities, q_new, self.ctx.goals)
+            steps = step_counts(node.steps, q_new, self.ctx.goals)
             weight = self.ecost(node.config, q_new)
             child = HighLevelNode(
                 config=q_new,
-                tree=deque([Constraint()]),
+                tree=[Constraint()],
+                popped=0,
                 parent=node,
                 neighbors={},
                 g=node.g + weight,
                 h=heuristic(opts.objective, q_new, self.ctx.dist_tables),
-                order=priority_order(child_priorities),
-                priorities=child_priorities,
+                order=step_order(steps),
+                steps=steps,
             )
             node.neighbors[child] = weight
             self.explored[q_new] = child

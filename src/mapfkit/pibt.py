@@ -230,7 +230,8 @@ def plan_step(
                 partner_or_none = swap_required_and_possible(
                     ctx, i, q_from, cand[0], occ_from
                 )
-                if partner_or_none is None:
+                # Staying put clears no target: skip the call that would say so.
+                if partner_or_none is None and cand[0] != here:
                     partner_or_none = _clear_target(ctx, i, q_from, cand[0], occ_from)
                 if partner_or_none is not None:
                     partner = partner_or_none

@@ -73,6 +73,31 @@ class TestSolveCommand:
         assert lines[0] == "elapsed_ms,cost"
         assert len(lines) >= 2
 
+    def test_outputs_go_into_missing_directories(self, capsys, tmp_path):
+        sol = tmp_path / "a" / "b" / "sol.txt"
+        trace = tmp_path / "c" / "trace.csv"
+        code = main(
+            ["solve", "-m", fx("tunnel.map"), "-i", fx("tunnel.scen"), "-N", "2",
+             "--objective", "makespan", "-o", str(sol), "--trace", str(trace)]
+        )
+        assert code == 0
+        assert sol.read_text().startswith("starts=")
+        assert trace.read_text().startswith("elapsed_ms,cost\n")
+
+    @pytest.mark.parametrize("option", ["-o", "--trace"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, option):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            ["solve", "-m", fx("corridor.map"), "-i", fx("corridor.scen"),
+             "-N", "1", option, str(blocker / "out.txt")]
+        )
+        captured = capsys.readouterr()
+        assert code == 64
+        assert "status=OPTIMAL" in captured.out
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestValidateCommand:
     def _solve_to(self, tmp_path: Path, name="sol.txt") -> Path:
@@ -200,6 +225,14 @@ class TestGenCommand:
         )
         assert code == 64
 
+    def test_negative_agents_is_an_error(self, capsys, tmp_path):
+        code = main(
+            ["gen", "--size", "4x4", "--agents", "-3", "-o", str(tmp_path / "x")]
+        )
+        assert code == 64
+        assert capsys.readouterr().err == "error: agent count must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_agents_and_fill_ratio_mutually_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -223,6 +256,34 @@ class TestBenchCommand:
         assert body[0].startswith("map,scen,n,variant")
         assert len(body) == 3  # n = 1 and n = 2
         assert summary.exists()
+
+    def test_outputs_go_into_missing_directories(self, capsys, tmp_path):
+        records = tmp_path / "r" / "records.csv"
+        summary = tmp_path / "s" / "t" / "summary.csv"
+        code = main(
+            ["bench", "--map", fx("tunnel.map"), "--scen", fx("tunnel.scen"),
+             "--agents", "1:1:1", "--objective", "makespan",
+             "-t", "none", "-o", str(records), "--summary", str(summary)]
+        )
+        assert code == 0
+        assert len(records.read_text().strip().splitlines()) == 2
+        assert summary.read_text().startswith("map,n,variant")
+
+    @pytest.mark.parametrize("option", ["-o", "--summary"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, option):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"-o": str(tmp_path / "r.csv"), "--summary": str(tmp_path / "s.csv")}
+        paths[option] = str(blocker / "out.csv")
+        code = main(
+            ["bench", "--map", fx("tunnel.map"), "--scen", fx("tunnel.scen"),
+             "--agents", "1:1:1", "--objective", "makespan", "-t", "none",
+             "-o", paths["-o"], "--summary", paths["--summary"]]
+        )
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_unknown_variant_is_usage_error(self, capsys, tmp_path):
         code = main(

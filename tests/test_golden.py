@@ -12,10 +12,12 @@ from __future__ import annotations
 import collections
 import hashlib
 import random
+import sys
 
 import pytest
 
 import mapfkit.grid as grid
+from mapfkit.lacam import HighLevelNode, _Search
 from mapfkit import (
     GridMap,
     Instance,
@@ -60,6 +62,14 @@ REPORTING_IMPROVEMENTS = 88
 # when the tables became lazy: a change that searches more fails here
 # without any timing.
 SEARCHED_VERTICES = 45927
+# Bytes per search node (64-bit CPython), each object counted once over all
+# nodes: of the anytime solve above, and of the reporting draws below run to
+# exhaustion. Float priorities and a deque constraint queue made them ~6,100
+# and ~1,410; integer step counts and a list queue that is cleared once
+# spent ~3,300 and ~780 (~1,260 if spent queues were kept).
+ANYTIME_NODE_BYTES_BOUND = 4500
+EXHAUSTIVE_NODES = 1191
+EXHAUSTIVE_NODE_BYTES_BOUND = 1000
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +175,69 @@ def test_anytime_counts_and_trace(random32):
     )
     assert (out.stats.iterations, out.stats.node_count) == ANYTIME_COUNTS
     assert [cost for _, cost in out.stats.trace] == ANYTIME_TRACE_COSTS
+
+
+def _explored_nodes(instance: Instance, options: SolverOptions) -> list[HighLevelNode]:
+    search = _Search(instance, options)
+    while search.open_stack and not search.interrupted():
+        search.step()
+    return list(search.explored.values())
+
+
+def _node_sizes(nodes: list[HighLevelNode]) -> tuple[float, set[str]]:
+    """Bytes per node and the names of the fields that hold a float.
+
+    The bytes are sys.getsizeof of each node and of each field's object and
+    items, every object counted once, so the small ints that CPython shares
+    cost nothing per node.
+    """
+    seen: set[int] = set()
+
+    def size(obj) -> int:
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return sys.getsizeof(obj)
+
+    total = 0
+    float_fields: set[str] = set()
+    for node in nodes:
+        total += size(node)
+        for name in HighLevelNode.__slots__:
+            if name == "parent":
+                continue
+            value = getattr(node, name)
+            items = value if isinstance(value, (list, tuple)) else ()
+            if isinstance(value, float) or any(isinstance(x, float) for x in items):
+                float_fields.add(name)
+            total += size(value) + sum(size(x) for x in items)
+    return total / len(nodes), float_fields
+
+
+def test_anytime_node_bytes(random32):
+    # A run keeps every node, so their size limits how far it can search.
+    # Measured without RSS noise.
+    nodes = _explored_nodes(
+        random32, SolverOptions(seed=5, iteration_budget=ANYTIME_ITERATIONS)
+    )
+    assert len(nodes) == ANYTIME_COUNTS[1]
+    per_node, float_fields = _node_sizes(nodes)
+    assert float_fields == set()
+    assert per_node < ANYTIME_NODE_BYTES_BOUND
+
+
+def test_exhaustive_node_bytes():
+    # Searched to exhaustion, most nodes spend their constraint queue; a
+    # spent queue must not keep the constraints that no child refers to.
+    rng = random.Random(8)
+    draws = [random_instance(rng, 5, 5, 0.2, 3) for _ in range(max(REPORTING_DRAWS) + 1)]
+    nodes = []
+    for k in REPORTING_DRAWS:
+        nodes += _explored_nodes(draws[k], SolverOptions(seed=k))
+    assert len(nodes) == EXHAUSTIVE_NODES
+    per_node, float_fields = _node_sizes(nodes)
+    assert float_fields == set()
+    assert per_node < EXHAUSTIVE_NODE_BYTES_BOUND
 
 
 def _solution_digest(instance: Instance, solution) -> str:

@@ -5,10 +5,10 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mapfkit import (
     Constraint,
@@ -32,7 +32,8 @@ from mapfkit import (
 import mapfkit
 import mapfkit.lacam as lacam
 from mapfkit.core import edge_cost_fn
-from mapfkit.lacam import pins_from_constraint
+from mapfkit.lacam import pins_from_constraint, step_counts, step_order
+from mapfkit.pibt import bumped_priorities, initial_priorities, priority_order
 
 from conftest import random_instance
 
@@ -41,16 +42,17 @@ def open_grid(w: int, h: int) -> GridMap:
     return GridMap(w, h, [True] * (w * h))
 
 
-def make_node(config, g=0, h=0, order=None, priorities=None):
+def make_node(config, g=0, h=0, order=None, steps=None):
     return HighLevelNode(
         config=config,
-        tree=deque([Constraint()]),
+        tree=[Constraint()],
+        popped=0,
         parent=None,
         neighbors={},
         g=g,
         h=h,
         order=order if order is not None else list(range(len(config))),
-        priorities=priorities if priorities is not None else [0.0] * len(config),
+        steps=steps if steps is not None else (0,) * len(config),
     )
 
 
@@ -132,10 +134,12 @@ class TestLowLevelExpand:
     def test_children_per_possible_location(self):
         grid = open_grid(3, 1)
         node = make_node((1, 0), order=[0, 1])
-        root = node.tree.popleft()
+        root = node.tree[node.popped]
+        node.popped += 1
         low_level_expand(node, root, grid)
-        assert len(node.tree) == 3  # agent 0 sits on a degree-2 cell
-        assert all(c.who == 0 and c.depth == 1 for c in node.tree)
+        children = node.tree[node.popped:]
+        assert len(children) == 3  # agent 0 sits on a degree-2 cell
+        assert all(c.who == 0 and c.depth == 1 and c.parent is root for c in children)
 
     def test_no_children_at_full_depth(self):
         grid = open_grid(3, 1)
@@ -149,9 +153,10 @@ class TestLowLevelExpand:
     def test_agents_distinct_along_chain(self):
         grid = open_grid(3, 3)
         node = make_node((0, 4, 8), order=[2, 0, 1])
-        root = node.tree.popleft()
+        root = node.tree[node.popped]
+        node.popped += 1
         low_level_expand(node, root, grid)
-        child = node.tree[0]
+        child = node.tree[node.popped]
         low_level_expand(node, child, grid)
         grandchild = next(c for c in node.tree if c.parent is child)
         low_level_expand(node, grandchild, grid)
@@ -160,11 +165,40 @@ class TestLowLevelExpand:
         assert sorted(chain_agents) == [0, 1, 2]
 
 
+class TestStepOrder:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 500),
+        length=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=500, length=300, seed=0)
+    @example(n=1, length=260, seed=1)
+    def test_matches_float_priority_order_along_a_chain(self, n, length, seed):
+        # Each agent stands on its goal never, rarely, half the time or
+        # always, so counts tie in large groups, agents reach and leave their
+        # goals, and the never-arriving ones count past 256.
+        rng = random.Random(seed)
+        goals = tuple(range(n))
+        rates = [rng.choice((0.0, 0.05, 0.5, 1.0)) for _ in range(n)]
+        priorities = initial_priorities(n)
+        steps = (0,) * n
+        assert step_order(steps) == priority_order(priorities)
+        for _ in range(length):
+            q = tuple(i if rng.random() < rates[i] else n + i for i in range(n))
+            priorities = bumped_priorities(priorities, q, goals)
+            steps = step_counts(steps, q, goals)
+            assert step_order(steps) == priority_order(priorities)
+        assert all(type(s) is int for s in steps)
+        if 0.0 in rates and length > 256:
+            assert max(steps) == length
+
+
 class TestGenerateConfiguration:
     def test_root_constraint_always_produces(self, tunnel_instance):
         grid = tunnel_instance.grid
         ctx = PibtContext(grid, tunnel_instance.goals, seed=0)
-        node = make_node(tunnel_instance.starts, priorities=[1.5, 0.5])
+        node = make_node(tunnel_instance.starts, steps=(1, 0))
         node.order = [0, 1]
         q = generate_configuration(node, Constraint(), ctx)
         assert q is not None
@@ -172,7 +206,7 @@ class TestGenerateConfiguration:
     def test_colliding_pins_give_none(self, tunnel_instance):
         grid = tunnel_instance.grid
         ctx = PibtContext(grid, tunnel_instance.goals, seed=0)
-        node = make_node(tunnel_instance.starts, priorities=[1.5, 0.5])
+        node = make_node(tunnel_instance.starts, steps=(1, 0))
         root = Constraint()
         c1 = Constraint(parent=root, who=0, where=4, depth=1)
         c2 = Constraint(parent=c1, who=1, where=4, depth=2)
@@ -182,7 +216,7 @@ class TestGenerateConfiguration:
         # crossing scenario with the middle agent pinned to the junction
         goals = (4, 1, 0)
         ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)
-        node = make_node((3, 0, 2), priorities=[3.0, 2.0, 1.0])
+        node = make_node((3, 0, 2), steps=(3, 2, 1))
         node.order = [0, 1, 2]
         root = Constraint()
         pin = Constraint(parent=root, who=2, where=1, depth=1)
