@@ -128,11 +128,23 @@ def _load_instance(map_path: str, scen_path: str, n: int) -> Instance:
     return Instance(grid=grid, starts=starts, goals=goals)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating its parent directories."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text)
+def _check_writable(*paths: str | None) -> None:
+    """Raise OSError unless each given path can be opened for writing.
+
+    Run before the work, so that a bad output path is reported at once.
+    Missing parent directories are created; an existing file is left as it
+    is, and a file the check creates is removed again.
+    """
+    for path in paths:
+        if not path:
+            continue
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        existed = target.exists()
+        with target.open("a"):
+            pass
+        if not existed:
+            target.unlink()
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -150,7 +162,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             restart_probability=args.restart_prob,
             seed=args.seed,
         )
-    except ValueError as exc:
+        _check_writable(args.output, args.trace)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -172,11 +185,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         if outcome.solution is not None and args.output:
-            _write_text(args.output, format_solution(outcome.solution, instance.grid))
+            Path(args.output).write_text(format_solution(outcome.solution, instance.grid))
         if args.trace:
             lines = ["elapsed_ms,cost"]
             lines += [f"{ms!r},{c}" for ms, c in outcome.stats.trace]
-            _write_text(args.trace, "\n".join(lines) + "\n")
+            Path(args.trace).write_text("\n".join(lines) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -223,6 +236,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     except (KeyError, ValueError) as exc:
         print(f"error: invalid bench configuration: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        _check_writable(args.output, args.summary)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     records = bench.run_suite(cfg)
     try:

@@ -402,11 +402,15 @@ class _Search:
         known = self.explored.get(q_new)
         if known is not None:
             if known not in node.neighbors:
-                node.neighbors[known] = self.ecost(node.config, q_new)
-                incumbent = goal_node.g if goal_node is not None else INF_COST
-                rewire(node, goal_node, open_stack if opts.discard_enabled else None)
-                if goal_node is not None and goal_node.g < incumbent:
-                    self.report_incumbent(goal_node)
+                weight = self.ecost(node.config, q_new)
+                node.neighbors[known] = weight
+                # g-values are shortest over the arcs recorded before this
+                # one, so only an arc that lowers known.g can change any.
+                if node.g + weight < known.g:
+                    incumbent = goal_node.g if goal_node is not None else INF_COST
+                    rewire(node, goal_node, open_stack if opts.discard_enabled else None)
+                    if goal_node is not None and goal_node.g < incumbent:
+                        self.report_incumbent(goal_node)
             # Reinsertion keeps deep branches alive; the rare restart pushes
             # the root instead so the search can escape bottleneck regions.
             if self.ctx.rng.random() < opts.restart_probability:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import grid
 from .core import Config
@@ -69,7 +68,9 @@ class PibtContext:
     creates them with ``mapfkit.grid.bfs_dist_table`` and they are searched
     only as far as the step generator and the search read them. A context
     is single-threaded mutable state; use one per solver run. Contexts for
-    different runs are independent.
+    different runs are independent, and creating one changes nothing
+    outside it: :func:`plan_step` plans inheritance chains on an explicit
+    stack, so no recursion limit is raised.
     """
 
     def __init__(
@@ -100,10 +101,6 @@ class PibtContext:
         self._shuffle_steps = _shuffle_step_table(
             max(map(len, graph.adjacency), default=0) + 1
         )
-        # Inheritance chains recurse at most one frame set per agent.
-        needed = 3 * self.n + 500
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
         self._adjacency = graph.adjacency
         # Scratch reused across calls: vertex -> agent occupancy maps.
         self._occupied_from = [_NO_AGENT] * graph.num_vertices
@@ -161,29 +158,32 @@ def plan_step(
     assigned in ``order``, by default :func:`priority_order` of the
     context's priorities; per agent, candidates are its neighbors plus
     staying put, sorted by distance to its goal with ties broken by a
-    seeded shuffle. Failure (None) occurs only when the pins leave some
-    agent without any legal assignment. Malformed pins raise
-    :class:`PinError` instead; each pin is checked as it is written into
-    the occupancy map, so the first malformed one in dict order is named.
+    seeded shuffle. An agent that wants the vertex of an agent not yet
+    planned is set aside on an explicit stack while that agent is planned
+    first, so chains of any length need no recursion. Failure (None)
+    occurs only when the pins leave some agent without any legal
+    assignment. Malformed pins raise :class:`PinError` instead; each pin is
+    checked as it is written into the occupancy map, so the first malformed
+    one in dict order is named. When every agent is pinned and the pins are
+    well-formed, the pins are the answer and no random number is drawn.
     However the call ends, the context's scratch maps are left empty.
     """
-    if len(q_from) != ctx.n:
+    n = ctx.n
+    if len(q_from) != n:
         raise ValueError("configuration length does not match context")
     adjacency = ctx._adjacency
     occ_from = ctx._occupied_from
     occ_to = ctx._occupied_to
-    q_to: list[int] = [_UNDECIDED] * ctx.n
+    q_to: list[int] = [_UNDECIDED] * n
     touched_to: list[int] = []
     touch = touched_to.append
 
     try:
         for i, v in enumerate(q_from):
             occ_from[v] = i
-        # Check pins before the closures exist: each closure pair is a
-        # reference cycle, and rejected calls should leave no such garbage.
         if pins:
             for agent, v in pins.items():
-                if not 0 <= agent < ctx.n:
+                if not 0 <= agent < n:
                     raise PinError(f"pin names unknown agent {agent}")
                 here = q_from[agent]
                 if v != here and v not in adjacency[here]:
@@ -196,91 +196,122 @@ def plan_step(
                 q_to[agent] = v
                 occ_to[v] = agent
                 touch(v)
+            if len(pins) == n:
+                # Every pin is checked against every other: no collision or
+                # exchange is left, and no agent is left to plan.
+                return tuple(q_to)
 
         dists = ctx._dists
+        tables = ctx.dist_tables
         big = ctx._big
         shuffle_steps = ctx._shuffle_steps
         getrandbits = ctx.rng.getrandbits
         swap_enabled = ctx.swap_enabled
-
-        def assign(i: int) -> bool:
-            """Plan agent ``i``; returns False if it had to stay put blocked."""
-            here = q_from[i]
-            cand = [*adjacency[here], here]
-            _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
-            dist = dists[i]
-            # Stable sort by distance; ties keep their shuffled order. Entries
-            # the table has not searched yet hold ``big`` and sort last, above
-            # every final distance, so one look at the last candidate tells
-            # whether any is pending. If one is, settling ``here`` makes every
-            # candidate final, and sorting the sorted list again gives the
-            # order one sort of the final values would. UNREACHABLE (-1) would
-            # sort first, so only then sort again with it ranked last.
-            cand.sort(key=dist.__getitem__)
-            if dist[cand[-1]] == big:
-                # Read through ctx: one more name captured from plan_step would
-                # cost a closure cell on every call.
-                ctx.dist_tables[i].settle(here)
-                cand.sort(key=dist.__getitem__)
-            if dist[cand[0]] == UNREACHABLE:
-                cand.sort(key=lambda u: dist[u] if dist[u] != UNREACHABLE else big)
-
-            partner = _NO_AGENT
-            if swap_enabled:
-                partner_or_none = swap_required_and_possible(
-                    ctx, i, q_from, cand[0], occ_from
-                )
-                # Staying put clears no target: skip the call that would say so.
-                if partner_or_none is None and cand[0] != here:
-                    partner_or_none = _clear_target(ctx, i, q_from, cand[0], occ_from)
-                if partner_or_none is not None:
-                    partner = partner_or_none
-                    cand.reverse()
-            head = cand[0]
-
-            for v in cand:
-                if occ_to[v] != _NO_AGENT:
-                    continue
-                k = occ_from[v]
-                if k != _NO_AGENT and k != i and q_to[k] == here:
-                    continue  # the agent leaving v would be exchanged with i
-                occ_to[v] = i
-                touch(v)
-                q_to[i] = v
-                if k != _NO_AGENT and k != i and q_to[k] == _UNDECIDED:
-                    if not assign(k):
-                        # k ended up staying on v; our reservation was replaced.
-                        continue
-                if v == head and partner != _NO_AGENT and q_to[partner] == _UNDECIDED:
-                    _pull(partner, here)
-                return True
-            q_to[i] = here
-            occ_to[here] = i
-            touch(here)
-            return False
-
-        def _pull(agent: int, target: int) -> None:
-            """Pull ``agent`` onto the vertex just vacated, if that stays legal."""
-            if occ_to[target] != _NO_AGENT:
-                return
-            k = occ_from[target]
-            if k != _NO_AGENT and k != agent and q_to[k] == q_from[agent]:
-                return
-            q_to[agent] = target
-            occ_to[target] = agent
-            touch(target)
+        # Agents waiting for the agent they push, each with what it needs to
+        # go on: (agent, its vertex, the iterator over its candidates, the
+        # candidate it reserved, its best candidate, its swap partner).
+        waiting: list[tuple[int, int, Iterator[int], int, int, int]] = []
+        wait = waiting.append
+        resume = waiting.pop
 
         if order is None:
             order = priority_order(ctx.priorities)
         for i in order:
-            if q_to[i] == _UNDECIDED:
-                assign(i)
+            if q_to[i] != _UNDECIDED:
+                continue
+            rest = None
+            while True:
+                if rest is None:
+                    # Plan agent i: order its candidates.
+                    here = q_from[i]
+                    cand = [*adjacency[here], here]
+                    _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
+                    dist = dists[i]
+                    # Stable sort by distance; ties keep their shuffled order.
+                    # Entries the table has not searched yet hold ``big`` and
+                    # sort last, above every final distance, so one look at
+                    # the last candidate tells whether any is pending. If one
+                    # is, settling ``here`` makes every candidate final, and
+                    # sorting the sorted list again gives the order one sort
+                    # of the final values would. UNREACHABLE (-1) would sort
+                    # first, so only then sort again with it ranked last.
+                    cand.sort(key=dist.__getitem__)
+                    if dist[cand[-1]] == big:
+                        tables[i].settle(here)
+                        cand.sort(key=dist.__getitem__)
+                    if dist[cand[0]] == UNREACHABLE:
+                        cand.sort(
+                            key=lambda u, d=dist, last=big: d[u] if d[u] != UNREACHABLE else last
+                        )
+
+                    partner = _NO_AGENT
+                    if swap_enabled:
+                        partner_or_none = swap_required_and_possible(
+                            ctx, i, q_from, cand[0], occ_from
+                        )
+                        # Staying put clears no target: skip the call that
+                        # would say so.
+                        if partner_or_none is None and cand[0] != here:
+                            partner_or_none = _clear_target(
+                                ctx, i, q_from, cand[0], occ_from
+                            )
+                        if partner_or_none is not None:
+                            partner = partner_or_none
+                            cand.reverse()
+                    head = cand[0]
+                    rest = iter(cand)
+
+                # Reserve i's next free candidate.
+                for v in rest:
+                    if occ_to[v] != _NO_AGENT:
+                        continue
+                    k = occ_from[v]
+                    if k != _NO_AGENT and k != i and q_to[k] == here:
+                        continue  # the agent leaving v would be exchanged with i
+                    occ_to[v] = i
+                    touch(v)
+                    q_to[i] = v
+                    if k != _NO_AGENT and k != i and q_to[k] == _UNDECIDED:
+                        # k must make way first; i waits for its answer.
+                        wait((i, here, rest, v, head, partner))
+                        i = k
+                        rest = None
+                    break
+                else:
+                    # No candidate is free: i stays, on the vertex its pusher
+                    # (if any) reserved, which then tries its next candidate.
+                    q_to[i] = here
+                    occ_to[here] = i
+                    touch(here)
+                    if waiting:
+                        i, here, rest, v, head, partner = resume()
+                        continue
+                    break
+                if rest is None:
+                    continue
+
+                # i keeps v. Each agent waiting on the chain keeps its own
+                # reservation in turn, and one that took its best candidate
+                # pulls its swap partner onto the vertex it left, if legal.
+                while True:
+                    if v == head and partner != _NO_AGENT and q_to[partner] == _UNDECIDED:
+                        k = occ_from[here]
+                        if occ_to[here] == _NO_AGENT and not (
+                            k != _NO_AGENT and k != partner and q_to[k] == q_from[partner]
+                        ):
+                            q_to[partner] = here
+                            occ_to[here] = partner
+                            touch(here)
+                    if not waiting:
+                        break
+                    i, here, rest, v, head, partner = resume()
+                break
 
         # Pins can force an agent into an unresolvable stay; reject such
         # outputs. Pinned agents keep their pins and moves are adjacent by
         # construction, so only collisions need re-checking: an agent that
         # does not own its final vertex in the occupancy map was overwritten.
-        for i in range(ctx.n):
+        for i in range(n):
             v = q_to[i]
             if v == _UNDECIDED or occ_to[v] != i:
                 return None

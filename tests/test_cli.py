@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mapfkit import parse_map, parse_scenario
+import mapfkit.cli as cli
+from mapfkit import bench, parse_map, parse_scenario
 from mapfkit.cli import main
 
 from conftest import FIXTURES
@@ -12,6 +13,10 @@ from conftest import FIXTURES
 
 def fx(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran although an output path was bad")
 
 
 class TestSolveCommand:
@@ -94,9 +99,32 @@ class TestSolveCommand:
         )
         captured = capsys.readouterr()
         assert code == 64
-        assert "status=OPTIMAL" in captured.out
+        assert "status=" not in captured.out  # found before the solve
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_unwritable_output_runs_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "solve", _must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            ["solve", "-m", fx("corridor.map"), "-i", fx("corridor.scen"),
+             "-N", "1", "--trace", str(blocker / "trace.csv")]
+        )
+        assert code == 64
+
+    def test_output_check_leaves_no_file_without_a_solution(self, capsys, tmp_path):
+        sol = tmp_path / "d" / "sol.txt"
+        kept = tmp_path / "kept.txt"
+        kept.write_text("earlier\n")
+        for path in (sol, kept):
+            code = main(
+                ["solve", "-m", fx("swap2.map"), "-i", fx("swap2.scen"), "-N", "2",
+                 "-o", str(path)]
+            )
+            assert code == 1
+        assert sol.parent.is_dir() and not sol.exists()
+        assert kept.read_text() == "earlier\n"
 
 
 class TestValidateCommand:
@@ -280,10 +308,22 @@ class TestBenchCommand:
              "--agents", "1:1:1", "--objective", "makespan", "-t", "none",
              "-o", paths["-o"], "--summary", paths["--summary"]]
         )
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 64
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert captured.out == ""  # found before the sweep: nothing is written
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_unwritable_output_runs_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "run_suite", _must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            ["bench", "--map", fx("tunnel.map"), "--scen", fx("tunnel.scen"),
+             "--agents", "1:1:1", "-o", str(blocker / "out.csv")]
+        )
+        assert code == 64
 
     def test_unknown_variant_is_usage_error(self, capsys, tmp_path):
         code = main(

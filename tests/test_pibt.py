@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from mapfkit import (
     update_priorities,
 )
 from mapfkit.grid import UNREACHABLE
+import mapfkit.pibt as pibt
 from mapfkit.pibt import (
     _best_step_toward,
     _clear_target,
@@ -352,8 +355,8 @@ class TestScratchRestored:
         assert plan_step(ctx, q_next) == plan_step(fresh, q_next)
 
     def test_rejected_pins_leave_no_cycle_garbage(self, tunnel_grid):
-        # Pins are checked before the step's closures are built; a closure
-        # pair is a reference cycle that outlives the call until collected.
+        # A rejected call leaves no reference cycle behind, which would
+        # outlive the call until collected.
         ctx = PibtContext(tunnel_grid, (4, 3), seed=0)
         bad = [{0: 5}, {0: 4, 1: 4}, {0: 4, 1: 3}, {1: 5, 0: 4, 2: 1}]
         gc.collect()
@@ -566,3 +569,68 @@ class TestMatchesReference:
                     hits[0] += partner is not None
                     hits[1] += behind is not None
         assert min(hits) > 0
+
+
+class TestStepWork:
+    """What one step costs beyond its answer, counted rather than timed."""
+
+    def test_accepted_calls_leave_no_cycle_garbage(self, tunnel_grid):
+        # The step keeps its state in plain locals and lists: nothing it
+        # builds refers back to itself, so nothing waits for the collector.
+        ctx = PibtContext(tunnel_grid, (4, 3), seed=0)
+        calls = [None, {0: 4}, {1: 4}, {0: 3, 1: 4}]
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(200):
+                plan_step(ctx, (3, 4), calls[k % len(calls)])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    def test_push_chain_needs_no_recursion(self):
+        # Agent i stands on cell i of a 1x1500 corridor with its goal 300
+        # cells to the right; planned in id order, agent 0 pushes all 1,199
+        # others ahead of it, and each of them advances one cell.
+        n = 1200
+        corridor = GridMap(1500, 1, [True] * 1500)
+        starts = tuple(corridor.vertex_at(x, 0) for x in range(n))
+        goals = tuple(corridor.vertex_at(x + 300, 0) for x in range(n))
+        limit = sys.getrecursionlimit()
+        ctx = PibtContext(corridor, goals, seed=0, swap_enabled=False)
+        assert sys.getrecursionlimit() == limit
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            q_to = plan_step(ctx, starts, order=range(n))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert q_to == tuple(corridor.vertex_at(x + 1, 0) for x in range(n))
+
+    @given(instance=walled_instances(), data=st.data())
+    def test_fully_pinned_calls_answer_from_the_pins(self, instance, data):
+        # Every agent pinned within its neighborhood, in a random dict
+        # order: the pins are the answer, or the first malformed one is
+        # named as the general path names it. Either way no random number
+        # is drawn and no planning order is computed.
+        grid, starts, goals = instance
+        pins = {}
+        for agent in data.draw(st.permutations(range(len(starts)))):
+            here = starts[agent]
+            pins[agent] = data.draw(st.sampled_from([*grid.neighbors(here), here]))
+        ctx = PibtContext(grid, goals, seed=0)
+        state = ctx.rng.getstate()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pibt, "priority_order", _no_planning_order)
+            expected = first_malformed_prefix_problem(grid, starts, pins)
+            if expected is None:
+                assert plan_step(ctx, starts, pins) == tuple(pins[a] for a in range(len(starts)))
+            else:
+                with pytest.raises(PinError) as info:
+                    plan_step(ctx, starts, pins)
+                assert str(info.value) == expected
+        assert ctx.rng.getstate() == state
+
+
+def _no_planning_order(priorities):
+    raise AssertionError("a fully pinned step computed a planning order")
