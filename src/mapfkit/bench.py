@@ -12,6 +12,7 @@ import logging
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -233,6 +234,24 @@ def _record_from_outcome(
     )
 
 
+def _failure_record(args: tuple, why: str) -> RunRecord:
+    """Log why the run of :func:`_execute_run` ``args`` failed; its record."""
+    map_path, scen_path, n, variant, _cfg, seed = args
+    log.warning("run (%s, %s, n=%d, %s) %s", map_path, scen_path, n, variant.name, why)
+    return RunRecord(
+        map=map_path,
+        scen=scen_path,
+        n=n,
+        variant=variant.name,
+        seed=seed,
+        status=SolveStatus.FAILURE.value,
+        init_time_ms=None,
+        init_cost=None,
+        final_cost=None,
+        iterations=0,
+    )
+
+
 def _execute_run(
     map_path: str,
     scen_path: str,
@@ -246,25 +265,65 @@ def _execute_run(
         starts, goals = parse_scenario(Path(scen_path).read_text(), grid, n)
         instance = Instance(grid=grid, starts=starts, goals=goals)
     except (OSError, ValueError) as exc:
-        log.warning("run (%s, %s, n=%d) unreadable: %s", map_path, scen_path, n, exc)
-        return RunRecord(
-            map=map_path,
-            scen=scen_path,
-            n=n,
-            variant=variant.name,
-            seed=seed,
-            status=SolveStatus.FAILURE.value,
-            init_time_ms=None,
-            init_cost=None,
-            final_cost=None,
-            iterations=0,
-        )
+        args = (map_path, scen_path, n, variant, cfg, seed)
+        return _failure_record(args, f"unreadable: {exc}")
     outcome = solve(instance, _variant_options(variant, cfg, seed))
     return _record_from_outcome(map_path, scen_path, n, variant.name, seed, outcome)
 
 
 def _execute_run_packed(args) -> RunRecord:
+    # Looks _execute_run up when it runs, in the worker process too.
     return _execute_run(*args)
+
+
+def _failed_run(args: tuple, exc: Exception) -> RunRecord:
+    return _failure_record(args, f"failed: {type(exc).__name__}: {exc}")
+
+
+def _run_or_fail(args: tuple) -> RunRecord:
+    try:
+        return _execute_run_packed(args)
+    except Exception as exc:
+        return _failed_run(args, exc)
+
+
+def _run_round_pooled(
+    pool: ProcessPoolExecutor, jobs: int, round_args: list
+) -> tuple[ProcessPoolExecutor, list[RunRecord]]:
+    """Run one round in ``pool``; return the pool to go on with and the records.
+
+    A run that raises becomes a FAILURE record. A worker that dies breaks
+    the pool and fails every run still in it, so those runs are repeated
+    one at a time in a fresh pool: only the run that kills its worker
+    again is recorded as failed.
+    """
+    futures = [pool.submit(_execute_run_packed, args) for args in round_args]
+    records: list[RunRecord | None] = []
+    broken = False
+    for args, future in zip(round_args, futures):
+        try:
+            records.append(future.result())
+        except BrokenProcessPool:
+            records.append(None)
+            broken = True
+        except Exception as exc:
+            records.append(_failed_run(args, exc))
+    for k, args in enumerate(round_args):
+        if records[k] is not None:
+            continue
+        if broken:
+            pool.shutdown()
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            broken = False
+        try:
+            records[k] = pool.submit(_execute_run_packed, args).result()
+        except Exception as exc:
+            records[k] = _failed_run(args, exc)
+            broken = isinstance(exc, BrokenProcessPool)
+    if broken:
+        pool.shutdown()
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    return pool, records
 
 
 def _solved(record: RunRecord) -> bool:
@@ -292,12 +351,14 @@ def _materialize_problems(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Execute the sweep and return one record per completed run.
+    """Execute the sweep and return one record per planned run.
 
     Within each variant, agent counts grow until a whole round yields no
     solutions, after which that variant is dropped from larger rounds.
     Records are deterministic for a fixed config (timings aside) and
-    independent of the parallelism degree.
+    independent of the parallelism degree. A run that raises, or whose
+    worker process dies, is logged and recorded as a FAILURE; the sweep
+    goes on.
     """
     problems = _materialize_problems(cfg)
     counts = cfg.agent_counts()
@@ -313,9 +374,9 @@ def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
                     ordinal += 1
                     round_args.append((map_path, scen_path, n, variant, cfg, seed))
                 if pool is not None:
-                    round_records = list(pool.map(_execute_run_packed, round_args))
+                    pool, round_records = _run_round_pooled(pool, cfg.jobs, round_args)
                 else:
-                    round_records = [_execute_run_packed(a) for a in round_args]
+                    round_records = [_run_or_fail(a) for a in round_args]
                 records.extend(round_records)
                 if not any(_solved(r) for r in round_records):
                     break

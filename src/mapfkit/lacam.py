@@ -20,9 +20,10 @@ import heapq
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     Config,
@@ -55,14 +56,20 @@ class Constraint:
     depth: int = 0
 
 
+# The root constraint of every node's queue. Nothing mutates a Constraint,
+# so one instance serves all nodes.
+_NO_PINS = Constraint()
+
+
 @dataclass(eq=False, slots=True)
 class HighLevelNode:
     """Search node: one per discovered configuration.
 
     A run keeps every node, so the fields are kept small. ``tree`` is the
     constraint queue, read from index ``popped`` on and emptied once spent.
-    ``steps`` holds :func:`step_counts` and, below the root, ``order`` is
-    their :func:`step_order`.
+    ``steps`` holds :func:`step_counts`, packed as unsigned ints. The agent
+    order is not stored: the search derives it when the node is popped, as
+    :func:`get_init_order` at the root and :func:`step_order` below it.
     """
 
     config: Config
@@ -74,8 +81,7 @@ class HighLevelNode:
     neighbors: dict[HighLevelNode, int] = field(repr=False)
     g: int
     h: int
-    order: list[int]
-    steps: tuple[int, ...]
+    steps: array
 
 
 class SolveStatus(Enum):
@@ -115,6 +121,12 @@ class SolverOptions:
     Dijkstra at each iteration, and ``improvement_callback`` receives
     (cost, solution) whenever the incumbent improves; both are test
     instrumentation.
+
+    ``time_budget`` is checked before each iteration, so it does not cover
+    set-up: the root's heuristic reads search every agent's distance table
+    out to its start before the first check. On a 128x128 map with 500
+    agents that alone takes about a second, so a 0.05 s budget returns
+    FAILURE with 0 iterations after that second.
     """
 
     objective: Objective = Objective.SUM_OF_LOSS
@@ -147,16 +159,18 @@ def get_init_order(instance: Instance, dist_tables) -> list[int]:
     )
 
 
-def step_counts(previous: tuple[int, ...], q: Config, goals: Config) -> tuple[int, ...]:
+def step_counts(previous: Sequence[int], q: Config, goals: Config) -> array:
     """Per agent, the steps taken since it last stood on its goal, at ``q``.
 
     The integer form of :func:`mapfkit.pibt.bumped_priorities`: an agent off
-    its goal gains one, an agent on it starts over at zero.
+    its goal gains one, an agent on it starts over at zero. The counts are
+    packed as ``'I'``: a long run can keep an agent off its goal for more
+    than 65,535 steps.
     """
-    return tuple([s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
+    return array("I", [s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
 
 
-def step_order(steps: tuple[int, ...]) -> list[int]:
+def step_order(steps: Sequence[int]) -> list[int]:
     """Agents by descending step count, ties by ascending id.
 
     The same order :func:`mapfkit.pibt.priority_order` gives for the float
@@ -166,16 +180,18 @@ def step_order(steps: tuple[int, ...]) -> list[int]:
     return sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
 
 
-def low_level_expand(node: HighLevelNode, constraint: Constraint, graph: VertexGraph) -> None:
+def low_level_expand(
+    node: HighLevelNode, constraint: Constraint, graph: VertexGraph, order: list[int]
+) -> None:
     """Grow the node's constraint tree below a just-popped constraint.
 
-    The next unconstrained agent (per the node's order) gets one child per
-    possible location. Nothing is added once every agent is pinned.
+    The next unconstrained agent (per the node's agent ``order``) gets one
+    child per possible location. Nothing is added once every agent is pinned.
     """
     n = len(node.config)
     if constraint.depth >= n:
         return
-    agent = node.order[constraint.depth]
+    agent = order[constraint.depth]
     here = node.config[agent]
     depth = constraint.depth + 1
     append = node.tree.append
@@ -194,15 +210,16 @@ def pins_from_constraint(constraint: Constraint) -> dict[int, int]:
 
 
 def generate_configuration(
-    node: HighLevelNode, constraint: Constraint, ctx: PibtContext
+    node: HighLevelNode, constraint: Constraint, ctx: PibtContext, order: list[int]
 ) -> Config | None:
-    """Run the step generator under the constraint's pins; None on failure.
+    """Run the step generator in ``order`` under the constraint's pins.
 
-    Mutually colliding or off-neighborhood pins (the constraint tree does
-    enumerate such combinations) are rejected as None rather than raised.
+    Returns None on failure. Mutually colliding or off-neighborhood pins
+    (the constraint tree does enumerate such combinations) are rejected as
+    None rather than raised.
     """
     try:
-        return plan_step(ctx, node.config, pins_from_constraint(constraint), node.order)
+        return plan_step(ctx, node.config, pins_from_constraint(constraint), order)
     except PinError:
         return None
 
@@ -306,7 +323,8 @@ class _Search:
 
     __slots__ = (
         "started", "opts", "stats", "ctx", "ecost",
-        "root", "open_stack", "explored", "goal_node",
+        "root", "root_order", "order_node", "order",
+        "open_stack", "explored", "goal_node",
     )
 
     def __init__(self, instance: Instance, opts: SolverOptions):
@@ -321,15 +339,20 @@ class _Search:
         dist_tables = self.ctx.dist_tables
         self.root = HighLevelNode(
             config=instance.starts,
-            tree=[Constraint()],
+            tree=[_NO_PINS],
             popped=0,
             parent=None,
             neighbors={},
             g=0,
             h=heuristic(opts.objective, instance.starts, dist_tables),
-            order=get_init_order(instance, dist_tables),
-            steps=(0,) * instance.n,
+            steps=array("I", [0]) * instance.n,
         )
+        # The root's order is not the step order of its all-zero counts.
+        self.root_order = get_init_order(instance, dist_tables)
+        # The last expanded node and its order: after a failed generator
+        # call the same node is expanded again at once.
+        self.order_node: HighLevelNode | None = None
+        self.order: list[int] = []
         self.open_stack: list[HighLevelNode] = []
         self.explored: dict[Config, HighLevelNode] = {}
         self.goal_node: HighLevelNode | None = None
@@ -386,16 +409,21 @@ class _Search:
             open_stack.pop()
             return True
 
+        if node is not self.order_node:
+            self.order_node = node
+            self.order = self.root_order if node is self.root else step_order(node.steps)
+        order = self.order
+
         constraint = tree[popped]
         popped += 1
-        low_level_expand(node, constraint, self.ctx.graph)
+        low_level_expand(node, constraint, self.ctx.graph, order)
         if popped == len(tree):
             # Spent: free the constraints that no child refers to. The
             # node still reads as exhausted.
             tree.clear()
             popped = 0
         node.popped = popped
-        q_new = generate_configuration(node, constraint, self.ctx)
+        q_new = generate_configuration(node, constraint, self.ctx, order)
         if q_new is None:
             return True
 
@@ -422,13 +450,12 @@ class _Search:
             weight = self.ecost(node.config, q_new)
             child = HighLevelNode(
                 config=q_new,
-                tree=[Constraint()],
+                tree=[_NO_PINS],
                 popped=0,
                 parent=node,
                 neighbors={},
                 g=node.g + weight,
                 h=heuristic(opts.objective, q_new, self.ctx.dist_tables),
-                order=step_order(steps),
                 steps=steps,
             )
             node.neighbors[child] = weight

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import logging
+import os
 import random
 from pathlib import Path
 
 import pytest
 
+import mapfkit.bench as bench
 from mapfkit import Instance, Objective, VertexGraph, bfs_dist_table, parse_map
 from mapfkit.bench import (
     ExperimentConfig,
@@ -185,6 +188,62 @@ class TestRunSuite:
         records = run_suite(cfg)
         seeds = [r.seed for r in records]
         assert len(seeds) == len(set(seeds))
+
+
+class TestFailedRuns:
+    """A run that raises or kills its worker becomes one FAILURE record."""
+
+    @staticmethod
+    def cfg(tmp_path, jobs):
+        return small_cfg(
+            tmp_path,
+            map_paths=(str(FIXTURES / "tunnel.map"),) * 3,
+            scen_paths=(str(FIXTURES / "tunnel.scen"),) * 3,
+            agents_start=1,
+            agents_step=1,
+            agents_max=2,
+            objective=Objective.MAKESPAN,
+            jobs=jobs,
+        )
+
+    @staticmethod
+    def outcomes(records):
+        return [(r.map, r.n, r.seed, r.status, r.final_cost, r.iterations) for r in records]
+
+    def run_failing(self, tmp_path, monkeypatch, caplog, jobs, fail):
+        """Sweep with the second run of round n=2 failing; return the log."""
+        expected = self.outcomes(run_suite(self.cfg(tmp_path, jobs=1)))
+        # Failing on the seed, which every worker process agrees on.
+        fail_seed = expected[4][2]
+        real = bench._execute_run
+
+        def failing(map_path, scen_path, n, variant, cfg, seed):
+            if seed == fail_seed:
+                fail()
+            return real(map_path, scen_path, n, variant, cfg, seed)
+
+        monkeypatch.setattr(bench, "_execute_run", failing)
+        with caplog.at_level(logging.WARNING, logger="mapfkit.bench"):
+            got = self.outcomes(run_suite(self.cfg(tmp_path, jobs=jobs)))
+        assert len(got) == len(expected) == 6
+        assert [k for k in range(6) if got[k] != expected[k]] == [4]
+        assert got[4][:3] == expected[4][:3] and got[4][3] == "FAILURE"
+        assert "n=2, full) failed" in caplog.text
+        return caplog.text
+
+    def test_crashed_worker_keeps_other_records(self, tmp_path, monkeypatch, caplog):
+        # The fork start method carries the patch into the pool's workers.
+        log_text = self.run_failing(
+            tmp_path, monkeypatch, caplog, jobs=2, fail=lambda: os._exit(3)
+        )
+        assert "BrokenProcessPool" in log_text
+
+    def test_raising_run_keeps_other_records(self, tmp_path, monkeypatch, caplog):
+        def boom():
+            raise RuntimeError("boom")
+
+        log_text = self.run_failing(tmp_path, monkeypatch, caplog, jobs=1, fail=boom)
+        assert "RuntimeError: boom" in log_text
 
 
 class TestCsv:

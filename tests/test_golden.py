@@ -66,10 +66,12 @@ SEARCHED_VERTICES = 45927
 # nodes: of the anytime solve above, and of the reporting draws below run to
 # exhaustion. Float priorities and a deque constraint queue made them ~6,100
 # and ~1,410; integer step counts and a list queue that is cleared once
-# spent ~3,300 and ~780 (~1,260 if spent queues were kept).
-ANYTIME_NODE_BYTES_BOUND = 4500
+# spent ~3,300 and ~780 (~1,260 if spent queues were kept); an agent order
+# derived when a node is popped, packed step counts and one shared root
+# constraint ~2,020 and ~650.
+ANYTIME_NODE_BYTES_BOUND = 2500
 EXHAUSTIVE_NODES = 1191
-EXHAUSTIVE_NODE_BYTES_BOUND = 1000
+EXHAUSTIVE_NODE_BYTES_BOUND = 720
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +191,8 @@ def _node_sizes(nodes: list[HighLevelNode]) -> tuple[float, set[str]]:
 
     The bytes are sys.getsizeof of each node and of each field's object and
     items, every object counted once, so the small ints that CPython shares
-    cost nothing per node.
+    cost nothing per node. An array holds no item objects: sys.getsizeof
+    counts its buffer.
     """
     seen: set[int] = set()
 

@@ -24,6 +24,7 @@ from mapfkit import (
     low_level_expand,
     optimal_cost,
     parse_map,
+    parse_scenario,
     rewire,
     solution_cost,
     solve,
@@ -35,14 +36,14 @@ from mapfkit.core import edge_cost_fn
 from mapfkit.lacam import pins_from_constraint, step_counts, step_order
 from mapfkit.pibt import bumped_priorities, initial_priorities, priority_order
 
-from conftest import random_instance
+from conftest import fixture_text, random_instance
 
 
 def open_grid(w: int, h: int) -> GridMap:
     return GridMap(w, h, [True] * (w * h))
 
 
-def make_node(config, g=0, h=0, order=None, steps=None):
+def make_node(config, g=0, h=0, steps=None):
     return HighLevelNode(
         config=config,
         tree=[Constraint()],
@@ -51,7 +52,6 @@ def make_node(config, g=0, h=0, order=None, steps=None):
         neighbors={},
         g=g,
         h=h,
-        order=order if order is not None else list(range(len(config))),
         steps=steps if steps is not None else (0,) * len(config),
     )
 
@@ -133,33 +133,34 @@ class TestTunnel:
 class TestLowLevelExpand:
     def test_children_per_possible_location(self):
         grid = open_grid(3, 1)
-        node = make_node((1, 0), order=[0, 1])
+        node = make_node((1, 0))
         root = node.tree[node.popped]
         node.popped += 1
-        low_level_expand(node, root, grid)
+        low_level_expand(node, root, grid, [0, 1])
         children = node.tree[node.popped:]
         assert len(children) == 3  # agent 0 sits on a degree-2 cell
         assert all(c.who == 0 and c.depth == 1 and c.parent is root for c in children)
 
     def test_no_children_at_full_depth(self):
         grid = open_grid(3, 1)
-        node = make_node((1, 0), order=[0, 1])
+        node = make_node((1, 0))
         c1 = Constraint(parent=node.tree[0], who=0, where=0, depth=1)
         c2 = Constraint(parent=c1, who=1, where=1, depth=2)
         node.tree.clear()
-        low_level_expand(node, c2, grid)
+        low_level_expand(node, c2, grid, [0, 1])
         assert len(node.tree) == 0
 
     def test_agents_distinct_along_chain(self):
         grid = open_grid(3, 3)
-        node = make_node((0, 4, 8), order=[2, 0, 1])
+        node = make_node((0, 4, 8))
+        order = [2, 0, 1]
         root = node.tree[node.popped]
         node.popped += 1
-        low_level_expand(node, root, grid)
+        low_level_expand(node, root, grid, order)
         child = node.tree[node.popped]
-        low_level_expand(node, child, grid)
+        low_level_expand(node, child, grid, order)
         grandchild = next(c for c in node.tree if c.parent is child)
-        low_level_expand(node, grandchild, grid)
+        low_level_expand(node, grandchild, grid, order)
         great = next(c for c in node.tree if c.parent is grandchild)
         chain_agents = list(pins_from_constraint(great))
         assert sorted(chain_agents) == [0, 1, 2]
@@ -194,13 +195,42 @@ class TestStepOrder:
             assert max(steps) == length
 
 
+class TestDerivedOrder:
+    def test_root_gets_init_order_and_others_their_step_order(self, monkeypatch):
+        # Every duplicate successor restarts at the root, so the root is
+        # popped again after other nodes were expanded.
+        grid = parse_map(fixture_text("random-32-32-20.map"))
+        starts, goals = parse_scenario(fixture_text("random-32-32-20.scen"), grid, 100)
+        instance = Instance(grid=grid, starts=starts, goals=goals)
+        calls = []
+        original = lacam.generate_configuration
+
+        def recording(node, constraint, ctx, order):
+            calls.append((node, list(order)))
+            return original(node, constraint, ctx, order)
+
+        monkeypatch.setattr(lacam, "generate_configuration", recording)
+        search = lacam._Search(
+            instance, SolverOptions(restart_probability=1.0, seed=0, iteration_budget=300)
+        )
+        while search.open_stack and not search.interrupted():
+            search.step()
+
+        root_order = lacam.get_init_order(instance, search.ctx.dist_tables)
+        assert root_order != step_order(search.root.steps)
+        for node, order in calls:
+            assert order == (root_order if node is search.root else step_order(node.steps))
+        at_root = [node is search.root for node, _ in calls]
+        assert True in at_root[at_root.index(False):]
+
+
 class TestGenerateConfiguration:
     def test_root_constraint_always_produces(self, tunnel_instance):
         grid = tunnel_instance.grid
         ctx = PibtContext(grid, tunnel_instance.goals, seed=0)
         node = make_node(tunnel_instance.starts, steps=(1, 0))
-        node.order = [0, 1]
-        q = generate_configuration(node, Constraint(), ctx)
+        order = [0, 1]
+        q = generate_configuration(node, Constraint(), ctx, order)
         assert q is not None
 
     def test_colliding_pins_give_none(self, tunnel_instance):
@@ -210,17 +240,17 @@ class TestGenerateConfiguration:
         root = Constraint()
         c1 = Constraint(parent=root, who=0, where=4, depth=1)
         c2 = Constraint(parent=c1, who=1, where=4, depth=2)
-        assert generate_configuration(node, c2, ctx) is None
+        assert generate_configuration(node, c2, ctx, [0, 1]) is None
 
     def test_pin_is_honored(self, branch_graph):
         # crossing scenario with the middle agent pinned to the junction
         goals = (4, 1, 0)
         ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)
         node = make_node((3, 0, 2), steps=(3, 2, 1))
-        node.order = [0, 1, 2]
+        order = [0, 1, 2]
         root = Constraint()
         pin = Constraint(parent=root, who=2, where=1, depth=1)
-        q = generate_configuration(node, pin, ctx)
+        q = generate_configuration(node, pin, ctx, order)
         assert q is not None and q[2] == 1
 
 
