@@ -20,7 +20,6 @@ from .core import (
     edge_cost,
     format_solution,
     heuristic,
-    is_connected,
     parse_scenario,
     parse_solution,
     solution_cost,
@@ -36,25 +35,19 @@ from .grid import (
     parse_map,
 )
 from .lacam import (
-    Constraint,
     HighLevelNode,
     SolveOutcome,
     SolveStats,
     SolveStatus,
     SolverOptions,
     backtrack,
-    generate_configuration,
-    low_level_expand,
-    rewire,
     solve,
 )
 from .oracle import OracleLimitError, is_solvable, optimal_cost
 from .pibt import (
     PibtContext,
     PinError,
-    initial_priorities,
     plan_step,
-    swap_required_and_possible,
     update_priorities,
 )
 
@@ -62,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Config",
-    "Constraint",
     "DistTable",
     "GridMap",
     "HighLevelNode",
@@ -88,21 +80,15 @@ __all__ = [
     "bfs_dist_table",
     "edge_cost",
     "format_solution",
-    "generate_configuration",
     "heuristic",
-    "initial_priorities",
-    "is_connected",
     "is_solvable",
-    "low_level_expand",
     "optimal_cost",
     "parse_map",
     "parse_scenario",
     "parse_solution",
     "plan_step",
-    "rewire",
     "solution_cost",
     "solve",
-    "swap_required_and_possible",
     "update_priorities",
     "validate",
 ]

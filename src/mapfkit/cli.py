@@ -202,10 +202,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         solution = parse_solution(
             Path(args.solution).read_text(), instance.grid
         )
+        # Another agent count than the instance's is a usage error too.
+        violation = validate(instance, solution)
     except (OSError, SolutionFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    violation = validate(instance, solution)
     if violation is None:
         print("valid")
         return 0

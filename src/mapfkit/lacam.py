@@ -23,7 +23,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (
     Config,
@@ -39,6 +39,8 @@ from .pibt import (
     PibtContext,
     PinError,
     plan_step,
+    step_counts,
+    step_order,
 )
 
 
@@ -67,9 +69,10 @@ class HighLevelNode:
 
     A run keeps every node, so the fields are kept small. ``tree`` is the
     constraint queue, read from index ``popped`` on and emptied once spent.
-    ``steps`` holds :func:`step_counts`, packed as unsigned ints. The agent
-    order is not stored: the search derives it when the node is popped, as
-    :func:`get_init_order` at the root and :func:`step_order` below it.
+    ``steps`` holds :func:`mapfkit.pibt.step_counts`, packed as unsigned
+    ints. The agent order is not stored: the search derives it when the node
+    is popped, as :func:`get_init_order` at the root and
+    :func:`mapfkit.pibt.step_order` below it.
     """
 
     config: Config
@@ -157,27 +160,6 @@ def get_init_order(instance: Instance, dist_tables) -> list[int]:
         range(instance.n),
         key=lambda i: (-dist_tables[i][instance.starts[i]], i),
     )
-
-
-def step_counts(previous: Sequence[int], q: Config, goals: Config) -> array:
-    """Per agent, the steps taken since it last stood on its goal, at ``q``.
-
-    The integer form of :func:`mapfkit.pibt.bumped_priorities`: an agent off
-    its goal gains one, an agent on it starts over at zero. The counts are
-    packed as ``'I'``: a long run can keep an agent off its goal for more
-    than 65,535 steps.
-    """
-    return array("I", [s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
-
-
-def step_order(steps: Sequence[int]) -> list[int]:
-    """Agents by descending step count, ties by ascending id.
-
-    The same order :func:`mapfkit.pibt.priority_order` gives for the float
-    priorities, whose fractional part breaks ties by id: the sort is stable
-    and ``reverse`` keeps tied agents in their ascending order.
-    """
-    return sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
 
 
 def low_level_expand(

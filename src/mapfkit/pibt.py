@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+from array import array
 from typing import Callable, Iterator, Sequence
 
 from . import grid
@@ -33,38 +34,33 @@ class PinError(ValueError):
     """Pins were malformed: off-neighborhood or mutually colliding."""
 
 
-def initial_priorities(n: int) -> list[float]:
-    """Base priorities: zero integer part, agent-id fraction as tie-break."""
-    return [(n - i - 1) / n for i in range(n)]
+def step_counts(previous: Sequence[int], q: Config, goals: Config) -> array:
+    """Per agent, the steps taken since it last stood on its goal, at ``q``.
 
-
-def bumped_priorities(
-    previous: Sequence[float], q: Config, goals: Config
-) -> list[float]:
-    """Advance priorities by one step taken at configuration ``q``.
-
-    Agents away from their goal gain 1; agents on their goal reset to the
-    base value. The fractional agent-id tie-break is preserved, so all
-    priorities stay pairwise distinct.
+    An agent off its goal gains one, an agent on it starts over at zero. The
+    counts are packed as ``'I'``: a long run can keep an agent off its goal
+    for more than 65,535 steps.
     """
-    n = len(q)
-    return [
-        previous[i] + 1.0 if q[i] != goals[i] else (n - i - 1) / n
-        for i in range(n)
-    ]
+    return array("I", [s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
 
 
-def priority_order(priorities: Sequence[float]) -> list[int]:
-    """Agents by descending priority, the order :func:`plan_step` plans in."""
-    return sorted(range(len(priorities)), key=lambda i: -priorities[i])
+def step_order(steps: Sequence[int]) -> list[int]:
+    """Agents by descending step count, ties by ascending id.
+
+    This is PIBT's dynamic priority, the order :func:`plan_step` plans in:
+    the sort is stable and ``reverse`` keeps tied agents in their ascending
+    order.
+    """
+    return sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
 
 
 class PibtContext:
     """Reusable per-run state for the step generator.
 
-    Holds the graph, per-agent goal distance tables, the dynamic priority
-    vector (read only by a :func:`plan_step` call given no ``order``), and
-    the RNG seeded from ``seed``. The context owns its distance tables: it
+    Holds the graph, per-agent goal distance tables, the agents' dynamic
+    priority as :func:`step_counts` in ``steps`` (read only by a
+    :func:`plan_step` call given no ``order``, through :func:`step_order`),
+    and the RNG seeded from ``seed``. The context owns its distance tables: it
     creates them with ``mapfkit.grid.bfs_dist_table`` and they are searched
     only as far as the step generator and the search read them. A context
     is single-threaded mutable state; use one per solver run. Contexts for
@@ -79,19 +75,13 @@ class PibtContext:
         goals: Sequence[int],
         seed: int = 0,
         swap_enabled: bool = True,
-        priorities: Sequence[float] | None = None,
     ):
         self.graph = graph
         self.goals: Config = tuple(map(graph.check_vertex, goals))
         self.n = len(self.goals)
         self.rng = random.Random(seed)
         self.swap_enabled = swap_enabled
-        if priorities is None:
-            self.priorities = initial_priorities(self.n)
-        else:
-            if len(priorities) != self.n:
-                raise ValueError("priorities length must match agent count")
-            self.priorities = list(priorities)
+        self.steps = array("I", [0]) * self.n
         self.dist_tables = [grid.bfs_dist_table(graph, g) for g in self.goals]
         # Per-solve invariants of the hot loop, read once instead of per agent.
         self._dists = [table.entries for table in self.dist_tables]
@@ -108,8 +98,8 @@ class PibtContext:
 
 
 def update_priorities(ctx: PibtContext, q: Config) -> None:
-    """Bump the context's priorities after the agents reached ``q``."""
-    ctx.priorities = bumped_priorities(ctx.priorities, q, ctx.goals)
+    """Advance the context's step counts after the agents reached ``q``."""
+    ctx.steps = step_counts(ctx.steps, q, ctx.goals)
 
 
 def _fisher_yates_steps(length: int) -> tuple[tuple[int, int], ...]:
@@ -155,8 +145,8 @@ def plan_step(
     """Compute one connected successor of ``q_from``, or None on failure.
 
     Pinned agents receive exactly their pinned vertex. Remaining agents are
-    assigned in ``order``, by default :func:`priority_order` of the
-    context's priorities; per agent, candidates are its neighbors plus
+    assigned in ``order``, by default :func:`step_order` of the context's
+    step counts; per agent, candidates are its neighbors plus
     staying put, sorted by distance to its goal with ties broken by a
     seeded shuffle. An agent that wants the vertex of an agent not yet
     planned is set aside on an explicit stack while that agent is planned
@@ -215,7 +205,7 @@ def plan_step(
         resume = waiting.pop
 
         if order is None:
-            order = priority_order(ctx.priorities)
+            order = step_order(ctx.steps)
         for i in order:
             if q_to[i] != _UNDECIDED:
                 continue

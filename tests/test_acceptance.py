@@ -20,7 +20,6 @@ from mapfkit import (
     SolveStatus,
     SolverOptions,
     heuristic,
-    is_connected,
     optimal_cost,
     parse_map,
     parse_scenario,
@@ -39,6 +38,7 @@ from mapfkit.bench import (
     write_csv,
 )
 from mapfkit.cli import main as cli_main
+from mapfkit.core import is_connected
 
 from conftest import FIXTURES, fixture_text
 

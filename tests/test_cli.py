@@ -202,6 +202,17 @@ class TestValidateCommand:
         )
         assert code == 64
 
+    def test_solution_with_other_agent_count_is_usage_error(self, capsys, tmp_path):
+        sol = self._solve_to(tmp_path)
+        code = main(
+            ["validate", "-m", fx("tunnel.map"), "-i", fx("tunnel.scen"),
+             "-N", "1", "--solution", str(sol)]
+        )
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith("error: ")
+        assert "arity 2, expected 1" in captured.err
+
 
 class TestGenCommand:
     def test_fill_ratio_on_empty_8x8(self, capsys, tmp_path):

@@ -17,14 +17,13 @@ from mapfkit import (
     edge_cost,
     format_solution,
     heuristic,
-    is_connected,
     parse_map,
     parse_scenario,
     parse_solution,
     solution_cost,
     validate,
 )
-from mapfkit.core import INF_COST, _transition_violation, edge_cost_fn
+from mapfkit.core import INF_COST, _transition_violation, edge_cost_fn, is_connected
 
 
 def open_grid(w: int, h: int) -> GridMap:

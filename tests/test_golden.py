@@ -12,7 +12,9 @@ from __future__ import annotations
 import collections
 import hashlib
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,10 @@ SEARCHED_VERTICES = 45927
 ANYTIME_NODE_BYTES_BOUND = 2500
 EXHAUSTIVE_NODES = 1191
 EXHAUSTIVE_NODE_BYTES_BOUND = 720
+# ``tools/output_digest.py --seed 11 small-exhaustive``: the digest that
+# identical-outputs claims compare, over the benchmark's 120 solves.
+OUTPUT_DIGEST_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+SMALL_EXHAUSTIVE_DIGEST = "1dbe57d57ce00e1b34cba545ad727afa09bdc9af7527f811d3019ce12656beaf"
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +291,16 @@ def test_incumbent_reporting():
                 h.update(repr((k, objective.value, discard, trace_costs, reported, final)).encode())
     assert improvements == REPORTING_IMPROVEMENTS
     assert h.hexdigest() == REPORTING_DIGEST
+
+
+def test_output_digest_tool():
+    out = subprocess.run(
+        [sys.executable, str(OUTPUT_DIGEST_TOOL), "--seed", "11", "small-exhaustive"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == [
+        f"small-exhaustive\t120 solves\t{SMALL_EXHAUSTIVE_DIGEST}",
+        f"all\t120 solves\t{SMALL_EXHAUSTIVE_DIGEST}",
+    ]

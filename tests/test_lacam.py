@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mapfkit import (
-    Constraint,
     GridMap,
     HighLevelNode,
     Instance,
@@ -20,12 +19,9 @@ from mapfkit import (
     SolveStatus,
     SolverOptions,
     backtrack,
-    generate_configuration,
-    low_level_expand,
     optimal_cost,
     parse_map,
     parse_scenario,
-    rewire,
     solution_cost,
     solve,
     validate,
@@ -33,8 +29,14 @@ from mapfkit import (
 import mapfkit
 import mapfkit.lacam as lacam
 from mapfkit.core import edge_cost_fn
-from mapfkit.lacam import pins_from_constraint, step_counts, step_order
-from mapfkit.pibt import bumped_priorities, initial_priorities, priority_order
+from mapfkit.lacam import (
+    Constraint,
+    generate_configuration,
+    low_level_expand,
+    pins_from_constraint,
+    rewire,
+)
+from mapfkit.pibt import step_counts, step_order
 
 from conftest import fixture_text, random_instance
 
@@ -182,14 +184,27 @@ class TestStepOrder:
         rng = random.Random(seed)
         goals = tuple(range(n))
         rates = [rng.choice((0.0, 0.05, 0.5, 1.0)) for _ in range(n)]
-        priorities = initial_priorities(n)
+
+        # Reference: PIBT's priorities as floats, the steps off the goal
+        # plus an agent-id fraction that breaks ties, planned in
+        # descending order.
+        def bumped(previous, q):
+            return [
+                previous[i] + 1.0 if q[i] != goals[i] else (n - i - 1) / n
+                for i in range(n)
+            ]
+
+        def float_order(priorities):
+            return sorted(range(n), key=lambda i: -priorities[i])
+
+        priorities = [(n - i - 1) / n for i in range(n)]
         steps = (0,) * n
-        assert step_order(steps) == priority_order(priorities)
+        assert step_order(steps) == float_order(priorities)
         for _ in range(length):
             q = tuple(i if rng.random() < rates[i] else n + i for i in range(n))
-            priorities = bumped_priorities(priorities, q, goals)
+            priorities = bumped(priorities, q)
             steps = step_counts(steps, q, goals)
-            assert step_order(steps) == priority_order(priorities)
+            assert step_order(steps) == float_order(priorities)
         assert all(type(s) is int for s in steps)
         if 0.0 in rates and length > 256:
             assert max(steps) == length

@@ -13,12 +13,11 @@ from mapfkit import (
     PibtContext,
     PinError,
     VertexGraph,
-    is_connected,
     parse_map,
     plan_step,
-    swap_required_and_possible,
     update_priorities,
 )
+from mapfkit.core import is_connected
 from mapfkit.grid import UNREACHABLE
 import mapfkit.pibt as pibt
 from mapfkit.pibt import (
@@ -26,8 +25,9 @@ from mapfkit.pibt import (
     _clear_target,
     _fisher_yates_steps,
     _shuffle,
-    bumped_priorities,
-    initial_priorities,
+    step_counts,
+    step_order,
+    swap_required_and_possible,
 )
 
 from conftest import random_instance
@@ -66,17 +66,13 @@ class TestPriorityInheritance:
         # b before k (waiting at a for b) gets its turn, so k must stay.
         goals = (4, 1, 0)  # i -> e, k -> b, j -> a
         q_from = (3, 0, 2)
-        ctx = PibtContext(
-            branch_graph, goals, seed=0, swap_enabled=False, priorities=[3.0, 2.0, 1.0]
-        )
-        assert step(ctx, q_from) == (2, 0, 1)
+        ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)
+        assert plan_step(ctx, q_from, order=[0, 1, 2]) == (2, 0, 1)
 
     def test_same_outcome_with_swap_enabled(self, branch_graph):
         goals = (4, 1, 0)
-        ctx = PibtContext(
-            branch_graph, goals, seed=0, swap_enabled=True, priorities=[3.0, 2.0, 1.0]
-        )
-        assert step(ctx, (3, 0, 2)) == (2, 0, 1)
+        ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=True)
+        assert plan_step(ctx, (3, 0, 2), order=[0, 1, 2]) == (2, 0, 1)
 
     def test_goal_configuration_is_absorbing(self, tunnel_grid):
         goals = (4, 3)
@@ -93,30 +89,33 @@ class TestPriorityInheritance:
 
 
 class TestDynamicPriorities:
-    def test_initial_fractions_order_by_agent_id(self):
-        pri = initial_priorities(3)
-        assert pri[0] > pri[1] > pri[2]
-        assert all(0.0 <= p < 1.0 for p in pri)
+    def test_agents_start_in_id_order(self, tunnel_grid):
+        ctx = PibtContext(tunnel_grid, (0, 2, 4), seed=0)
+        assert list(ctx.steps) == [0, 0, 0]
+        assert step_order(ctx.steps) == [0, 1, 2]
 
-    def test_at_goal_resets_to_zero_integer_part(self):
+    def test_at_goal_resets_to_zero(self):
         goals = (0, 1)
-        pri = bumped_priorities([5.5, 7.25], goals, goals)
-        assert pri == initial_priorities(2)
+        assert list(step_counts([5, 7], goals, goals)) == [0, 0]
 
     def test_off_goal_counts_updates(self):
         goals = (0, 1)
         q = (2, 3)
-        pri = initial_priorities(2)
+        steps = (0, 0)
         for _ in range(3):
-            pri = bumped_priorities(pri, q, goals)
-        assert [int(p) for p in pri] == [3, 3]
-        assert pri[0] > pri[1]
+            steps = step_counts(steps, q, goals)
+        assert list(steps) == [3, 3]
+        assert step_order(steps) == [0, 1]
 
-    def test_update_priorities_reorders_processing(self, tunnel_grid):
-        ctx = PibtContext(tunnel_grid, (0, 2), seed=0)
-        update_priorities(ctx, (1, 2))  # agent 0 off goal, agent 1 on goal
-        assert ctx.priorities[0] > 1.0
-        assert ctx.priorities[1] < 1.0
+    def test_update_priorities_reorders_processing(self, branch_graph):
+        goals = (4, 1, 0)
+        ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)
+        update_priorities(ctx, (4, 0, 2))  # agent 0 on its goal
+        update_priorities(ctx, (3, 2, 0))  # agent 2 on its goal
+        assert list(ctx.steps) == [1, 2, 0]
+        # Agent 1 plans first and takes b; in id order agent 2 takes b and
+        # agent 1 stays (TestPriorityInheritance).
+        assert step(ctx, (3, 0, 2)) == (2, 1, 4)
 
 
 class TestVanillaLivelock:
@@ -621,7 +620,7 @@ class TestStepWork:
         ctx = PibtContext(grid, goals, seed=0)
         state = ctx.rng.getstate()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pibt, "priority_order", _no_planning_order)
+            mp.setattr(pibt, "step_order", _no_planning_order)
             expected = first_malformed_prefix_problem(grid, starts, pins)
             if expected is None:
                 assert plan_step(ctx, starts, pins) == tuple(pins[a] for a in range(len(starts)))
@@ -632,5 +631,5 @@ class TestStepWork:
         assert ctx.rng.getstate() == state
 
 
-def _no_planning_order(priorities):
+def _no_planning_order(steps):
     raise AssertionError("a fully pinned step computed a planning order")
