@@ -33,6 +33,15 @@ class SolverVariant:
     anytime: bool = True
 
 
+# The ablation's named variants: LaCAM* or plain LaCAM, each with or without swap.
+VARIANTS = {
+    "full": SolverVariant("full", swap_enabled=True, anytime=True),
+    "noswap": SolverVariant("noswap", swap_enabled=False, anytime=True),
+    "nostar": SolverVariant("nostar", swap_enabled=True, anytime=False),
+    "vanilla": SolverVariant("vanilla", swap_enabled=False, anytime=False),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark suite: problems x agent counts x solver variants.
@@ -55,7 +64,7 @@ class ExperimentConfig:
     time_budget: float | None = None
     iteration_budget: int | None = None
     objective: Objective = Objective.SUM_OF_LOSS
-    variants: tuple[SolverVariant, ...] = (SolverVariant("lacam*"),)
+    variants: tuple[SolverVariant, ...] = (VARIANTS["full"],)
     seed: int = 0
     jobs: int = 1
 
@@ -68,9 +77,9 @@ class ExperimentConfig:
             raise ValueError("random instances need gen_dir to write files into")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
-        # Check map options and budgets now, not mid-sweep after gen_dir is written.
+        # Check map options and the options every run gets now, not after gen_dir is written.
         _check_random_map(*self.random_size, self.random_density)
-        SolverOptions(time_budget=self.time_budget, iteration_budget=self.iteration_budget)
+        _variant_options(VARIANTS["full"], self, self.seed)
 
     def agent_counts(self) -> list[int]:
         return list(range(self.agents_start, self.agents_max + 1, self.agents_step))

@@ -25,13 +25,6 @@ USAGE_ERROR = 64
 
 _OBJECTIVES = {o.value: o for o in Objective}
 
-_VARIANTS = {
-    "full": bench.SolverVariant("full", swap_enabled=True, anytime=True),
-    "noswap": bench.SolverVariant("noswap", swap_enabled=False, anytime=True),
-    "nostar": bench.SolverVariant("nostar", swap_enabled=True, anytime=False),
-    "vanilla": bench.SolverVariant("vanilla", swap_enabled=False, anytime=False),
-}
-
 _EXIT_CODES = {
     SolveStatus.OPTIMAL: 0,
     SolveStatus.SUBOPTIMAL: 0,
@@ -230,7 +223,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             time_budget=args.time_budget,
             objective=_OBJECTIVES[args.objective],
             variants=tuple(
-                _VARIANTS[name.strip()] for name in args.variants.split(",")
+                bench.VARIANTS[name.strip()] for name in args.variants.split(",")
             ),
             seed=args.seed,
             jobs=args.jobs,

@@ -30,12 +30,11 @@ class DistTable:
     """Shortest-path lengths (number of moves) from every vertex to ``target``.
 
     The table is a breadth-first search out of ``target`` that runs only as
-    far as its reads need. ``entries`` holds one value per vertex: the
-    final distance for every vertex the search has reached, and
-    ``pending`` (|V| + 1) for the rest. ``level`` is the last complete BFS
-    level: every vertex at most that far from ``target`` is final.
-    :meth:`settle` expands whole levels until a vertex's entry is final and
-    below ``level``, so its neighbours' entries are final too. Once the
+    far as its reads need. The read contract: after ``settle(v)``, the
+    ``entries`` of ``v`` and of its neighbours are final and stay so; code
+    outside this module relies on nothing else. Inside it, unsearched
+    entries hold ``pending`` (|V| + 1), and every vertex at most ``level``
+    (the last complete BFS level) from ``target`` is final. Once the
     frontier runs dry, the remaining pending entries become
     ``UNREACHABLE`` and ``level`` becomes ``pending``.
 

@@ -144,6 +144,7 @@ class SolverOptions:
     improvement_callback: Callable[[int, Solution], None] | None = None
 
     def __post_init__(self) -> None:
+        self.objective = Objective(self.objective)
         if not 0.0 <= self.restart_probability <= 1.0:
             raise ValueError("restart_probability must be in [0, 1]")
         if self.time_budget is not None and not (

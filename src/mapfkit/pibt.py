@@ -62,7 +62,8 @@ class PibtContext:
     :func:`plan_step` call given no ``order``, through :func:`step_order`),
     and the RNG seeded from ``seed``. The context owns its distance tables: it
     creates them with ``mapfkit.grid.bfs_dist_table`` and they are searched
-    only as far as the step generator and the search read them. A context
+    only as far as the step generator and the search read them; the step
+    generator reads them as ``DistTable``'s read contract allows. A context
     is single-threaded mutable state; use one per solver run. Contexts for
     different runs are independent, and creating one changes nothing
     outside it: :func:`plan_step` plans inheritance chains on an explicit
@@ -83,10 +84,6 @@ class PibtContext:
         self.swap_enabled = swap_enabled
         self.steps = array("I", [0]) * self.n
         self.dist_tables = [grid.bfs_dist_table(graph, g) for g in self.goals]
-        # Per-solve invariants of the hot loop, read once instead of per agent.
-        self._dists = [table.entries for table in self.dist_tables]
-        # Sorts after every distance: the tables' pending marker.
-        self._big = graph.num_vertices + 1
         # Candidate lists are at most one longer than the largest degree.
         self._shuffle_steps = _shuffle_step_table(
             max(map(len, graph.adjacency), default=0) + 1
@@ -146,17 +143,18 @@ def plan_step(
 
     Pinned agents receive exactly their pinned vertex. Remaining agents are
     assigned in ``order``, by default :func:`step_order` of the context's
-    step counts; per agent, candidates are its neighbors plus
-    staying put, sorted by distance to its goal with ties broken by a
-    seeded shuffle. An agent that wants the vertex of an agent not yet
-    planned is set aside on an explicit stack while that agent is planned
-    first, so chains of any length need no recursion. Failure (None)
-    occurs only when the pins leave some agent without any legal
-    assignment. Malformed pins raise :class:`PinError` instead; each pin is
-    checked as it is written into the occupancy map, so the first malformed
-    one in dict order is named. When every agent is pinned and the pins are
-    well-formed, the pins are the answer and no random number is drawn.
-    However the call ends, the context's scratch maps are left empty.
+    step counts; per agent, candidates are its neighbors plus staying put,
+    sorted by distance to its goal, read after settling its table at its
+    vertex, with ties broken by a seeded shuffle and unreachable ones last.
+    An agent that wants the vertex of an agent not yet planned is set aside
+    on an explicit stack while that agent is planned first, so chains of any
+    length need no recursion. Failure (None) occurs only when the pins leave
+    some agent without any legal assignment. Malformed pins raise
+    :class:`PinError` instead; each pin is checked as it is written into the
+    occupancy map, so the first malformed one in dict order is named. When
+    every agent is pinned and the pins are well-formed, the pins are the
+    answer and no random number is drawn. However the call ends, the
+    context's scratch maps are left empty.
     """
     n = ctx.n
     if len(q_from) != n:
@@ -191,9 +189,7 @@ def plan_step(
                 # exchange is left, and no agent is left to plan.
                 return tuple(q_to)
 
-        dists = ctx._dists
         tables = ctx.dist_tables
-        big = ctx._big
         shuffle_steps = ctx._shuffle_steps
         getrandbits = ctx.rng.getrandbits
         swap_enabled = ctx.swap_enabled
@@ -216,22 +212,16 @@ def plan_step(
                     here = q_from[i]
                     cand = [*adjacency[here], here]
                     _shuffle(cand, shuffle_steps[len(cand)], getrandbits)
-                    dist = dists[i]
+                    table = tables[i]
+                    table.settle(here)
+                    dist = table.entries
                     # Stable sort by distance; ties keep their shuffled order.
-                    # Entries the table has not searched yet hold ``big`` and
-                    # sort last, above every final distance, so one look at
-                    # the last candidate tells whether any is pending. If one
-                    # is, settling ``here`` makes every candidate final, and
-                    # sorting the sorted list again gives the order one sort
-                    # of the final values would. UNREACHABLE (-1) would sort
-                    # first, so only then sort again with it ranked last.
+                    # UNREACHABLE (-1) would sort first, so only then sort
+                    # again with it ranked after every distance.
                     cand.sort(key=dist.__getitem__)
-                    if dist[cand[-1]] == big:
-                        tables[i].settle(here)
-                        cand.sort(key=dist.__getitem__)
                     if dist[cand[0]] == UNREACHABLE:
                         cand.sort(
-                            key=lambda u, d=dist, last=big: d[u] if d[u] != UNREACHABLE else last
+                            key=lambda u, d=dist: d[u] if d[u] != UNREACHABLE else len(d)
                         )
 
                     partner = _NO_AGENT
@@ -424,7 +414,7 @@ def _clear_target(
     best_candidate: int,
     occupied_from: Sequence[int],
 ) -> int | None:
-    """Detect an agent behind ``i`` whose swap with ``i`` is pending.
+    """Detect an agent behind ``i`` that is due to swap with ``i``.
 
     Covers the junction-clearing pattern: some neighbor agent k wants to
     travel through ``i``'s cell and beyond, so the two emulations are run

@@ -103,6 +103,7 @@ class TestExperimentConfig:
             ({"random_density": 1.5}, "density"),
             ({"random_density": 1.0}, "passable"),
             ({"random_size": (0, 4)}, "dimensions"),
+            ({"objective": "nonsense"}, "Objective"),
         ],
     )
     def test_bad_budget_rejected_before_any_file_is_written(self, tmp_path, kwargs, match):
@@ -110,6 +111,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=match):
             small_cfg(tmp_path, random_count=2, gen_dir=str(gen_dir), **kwargs)
         assert not gen_dir.exists()
+
+    def test_named_variants(self):
+        assert all(variant.name == name for name, variant in bench.VARIANTS.items())
+        assert ExperimentConfig().variants == (bench.VARIANTS["full"],)
+        assert bench.VARIANTS["full"] == SolverVariant("full")
 
 
 class TestRunSuite:

@@ -74,10 +74,13 @@ SEARCHED_VERTICES = 45927
 ANYTIME_NODE_BYTES_BOUND = 2500
 EXHAUSTIVE_NODES = 1191
 EXHAUSTIVE_NODE_BYTES_BOUND = 720
-# ``tools/output_digest.py --seed 11 small-exhaustive``: the digest that
-# identical-outputs claims compare, over the benchmark's 120 solves.
+# ``tools/output_digest.py --seed 11 dense-anytime small-exhaustive``: the
+# digests that identical-outputs claims compare, over the benchmark's 20
+# dense solves (150 agents planned per generator call) and 120 small ones.
 OUTPUT_DIGEST_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+DENSE_ANYTIME_DIGEST = "d19d5d7d05c27dff34944fc46fe3a66edcaaddba6c537cf5e022d87d9fe4fe61"
 SMALL_EXHAUSTIVE_DIGEST = "1dbe57d57ce00e1b34cba545ad727afa09bdc9af7527f811d3019ce12656beaf"
+OUTPUT_DIGEST_ALL = "ac3235f640c91b7ab80c880d5665b3b68fa34864b47812abba1c2e84bef02117"
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,33 @@ def test_plain_lacam_searched_vertices(random32, monkeypatch):
     searched = sum(table.searched for table in tables)
     assert searched < random32.n * random32.grid.num_vertices
     assert searched == SEARCHED_VERTICES
+
+
+def test_plan_step_settles_nothing_in_a_solve(random32, monkeypatch):
+    # The search's heuristic settles every agent's table at the agent's
+    # vertex when it creates a node, so the settle with which plan_step
+    # reads its candidates searches nothing: it costs one call, not work.
+    advanced: collections.Counter[str] = collections.Counter()
+    settle = grid.DistTable.settle
+
+    def recording(table, v):
+        level = table.level
+        settle(table, v)
+        if table.level != level:
+            advanced[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(grid.DistTable, "settle", recording)
+    # Outside a solve nothing has settled the tables yet: the gate can see
+    # plan_step advance one.
+    ctx = PibtContext(random32.grid, random32.goals, seed=7)
+    assert plan_step(ctx, random32.starts) is not None
+    assert advanced["plan_step"] > 0
+
+    advanced.clear()
+    out = solve(random32, SolverOptions(seed=5, iteration_budget=ANYTIME_ITERATIONS))
+    assert (out.status, out.cost) == ANYTIME_RESULT
+    assert advanced["__getitem__"] > 0
+    assert advanced["plan_step"] == 0
 
 
 def test_solution_io_reads_lookup_tables(monkeypatch):
@@ -295,12 +325,20 @@ def test_incumbent_reporting():
 
 def test_output_digest_tool():
     out = subprocess.run(
-        [sys.executable, str(OUTPUT_DIGEST_TOOL), "--seed", "11", "small-exhaustive"],
+        [
+            sys.executable,
+            str(OUTPUT_DIGEST_TOOL),
+            "--seed",
+            "11",
+            "dense-anytime",
+            "small-exhaustive",
+        ],
         capture_output=True,
         text=True,
         check=True,
     ).stdout
     assert out.splitlines() == [
+        f"dense-anytime\t20 solves\t{DENSE_ANYTIME_DIGEST}",
         f"small-exhaustive\t120 solves\t{SMALL_EXHAUSTIVE_DIGEST}",
-        f"all\t120 solves\t{SMALL_EXHAUSTIVE_DIGEST}",
+        f"all\t140 solves\t{OUTPUT_DIGEST_ALL}",
     ]

@@ -427,6 +427,21 @@ class TestRestartPolicy:
         assert 0.0005 <= restarts / draws <= 0.002
 
 
+class TestObjectiveOption:
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_value_solves_its_objective(self, tunnel_instance, objective):
+        # The tunnel swap costs 5 under makespan and 10 under either sum.
+        by_value = solve(tunnel_instance, SolverOptions(objective=objective.value))
+        by_member = solve(tunnel_instance, SolverOptions(objective=objective))
+        assert by_value.status is by_member.status is SolveStatus.OPTIMAL
+        assert by_value.cost == by_member.cost
+        assert SolverOptions(objective=objective.value).objective is objective
+
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError, match="Objective"):
+            SolverOptions(objective="nonsense")
+
+
 class TestCompletenessOnTinyMaps:
     def exhaustive_two_agent_sweep(self, grid):
         outcomes = {True: 0, False: 0}

@@ -406,7 +406,7 @@ def reference_pin_problem(graph, q_from, pins):
 
 def reference_swap_required(ctx, pusher_goal, table, v_pusher, v_retreater):
     adjacency = ctx._adjacency
-    big = ctx._big
+    big = len(table.entries)
     dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
@@ -429,7 +429,7 @@ def reference_swap_required(ctx, pusher_goal, table, v_pusher, v_retreater):
 
 def reference_swap_possible(ctx, table, v_advancer, v_retreater):
     adjacency = ctx._adjacency
-    big = ctx._big
+    big = len(table.entries)
     dist = table.entries
     for _ in range(len(adjacency)):
         row = adjacency[v_retreater]
