@@ -79,7 +79,8 @@ class ExperimentConfig:
             raise ValueError("jobs must be positive")
         # Check map options and the options every run gets now, not after gen_dir is written.
         _check_random_map(*self.random_size, self.random_density)
-        _variant_options(VARIANTS["full"], self, self.seed)
+        options = _variant_options(VARIANTS["full"], self, self.seed)
+        object.__setattr__(self, "objective", options.objective)
 
     def agent_counts(self) -> list[int]:
         return list(range(self.agents_start, self.agents_max + 1, self.agents_step))

@@ -108,10 +108,11 @@ class DistTable:
 class VertexGraph:
     """Unweighted undirected graph addressed by dense integer vertex ids.
 
-    Adjacency must be symmetric: ``u in adjacency[v]`` exactly when
-    ``v in adjacency[u]``. This is not checked. Distance tables search out
-    of their target, so on a one-way arc they give distances from the
-    target, not to it.
+    Every neighbour id must be a vertex id, 0 to |V| - 1; anything else
+    raises ``ValueError``. Adjacency must be symmetric: ``u in
+    adjacency[v]`` exactly when ``v in adjacency[u]``. This is not checked.
+    Distance tables search out of their target, so on a one-way arc they
+    give distances from the target, not to it.
 
     The graph is immutable after construction and keeps no distance
     tables, so one graph can serve concurrent solver runs. Each table
@@ -122,6 +123,13 @@ class VertexGraph:
         self._adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in adjacency
         )
+        size = len(self._adjacency)
+        for v, row in enumerate(self._adjacency):
+            for u in row:
+                if not 0 <= u < size:
+                    raise ValueError(
+                        f"vertex {v} has neighbour {u!r}, not a vertex id in [0, {size})"
+                    )
 
     @property
     def num_vertices(self) -> int:

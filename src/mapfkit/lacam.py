@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import struct
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -63,19 +64,58 @@ class Constraint:
 _NO_PINS = Constraint()
 
 
+def config_codec(
+    graph: VertexGraph, n: int
+) -> tuple[Callable[[Config], bytes], Callable[[bytes], Config], Callable[[bytes], Config]]:
+    """``pack``, ``unpack`` and ``unpack_shared`` for n-agent configurations.
+
+    ``pack(q)`` stores each vertex id in the narrowest unsigned width that
+    holds every id of ``graph``: one byte up to 256 vertices, two up to
+    65,536, four beyond. ``unpack`` returns the tuple again. Wider ids come
+    back as new int objects; ``unpack_shared`` returns the ones the graph's
+    adjacency rows hold instead, so a solution that outlives the search
+    costs no int object per cell. One-byte ids are CPython's shared small
+    ints either way.
+    """
+    size = graph.num_vertices
+    if size <= 1 << 8:
+        # bytes and tuple, not a struct layout: in a freshly forked process
+        # a layout's first use faulted in 8-10 more pages before a 3-agent
+        # search found its first solution, and that took ~8% longer.
+        return bytes, tuple, tuple
+    layout = struct.Struct(f"{n}{'H' if size <= 1 << 16 else 'I'}")
+    ids: list[int] = []
+
+    def unpack_shared(packed: bytes) -> Config:
+        if not ids:
+            # Built on first use: a search that returns nothing never pays.
+            ids.extend([-1] * size)
+            for row in graph.adjacency:
+                for u in row:
+                    ids[u] = u
+            for v, u in enumerate(ids):
+                if u < 0:
+                    ids[v] = v  # no row names v
+        return tuple(map(ids.__getitem__, layout.unpack(packed)))
+
+    return (lambda q: layout.pack(*q)), layout.unpack, unpack_shared
+
+
 @dataclass(eq=False, slots=True)
 class HighLevelNode:
     """Search node: one per discovered configuration.
 
-    A run keeps every node, so the fields are kept small. ``tree`` is the
-    constraint queue, read from index ``popped`` on and emptied once spent.
-    ``steps`` holds :func:`mapfkit.pibt.step_counts`, packed as unsigned
-    ints. The agent order is not stored: the search derives it when the node
-    is popped, as :func:`get_init_order` at the root and
-    :func:`mapfkit.pibt.step_order` below it.
+    A run keeps every node, so the fields are kept small. ``config`` is the
+    configuration packed by the search's :func:`config_codec`. ``tree`` is
+    the constraint queue, read from index ``popped`` on and emptied once
+    spent. ``steps`` holds :func:`mapfkit.pibt.step_counts`, an unsigned
+    array of 16-bit ints unless a count has passed 65,535. The agent order
+    is not stored: the search derives it when the node is popped, as
+    :func:`get_init_order` at the root and :func:`mapfkit.pibt.step_order`
+    below it.
     """
 
-    config: Config
+    config: bytes
     tree: list[Constraint]
     popped: int
     # Left out of the repr, which would otherwise walk the whole search graph.
@@ -164,20 +204,24 @@ def get_init_order(instance: Instance, dist_tables) -> list[int]:
 
 
 def low_level_expand(
-    node: HighLevelNode, constraint: Constraint, graph: VertexGraph, order: list[int]
+    tree: list[Constraint],
+    q: Config,
+    constraint: Constraint,
+    graph: VertexGraph,
+    order: list[int],
 ) -> None:
-    """Grow the node's constraint tree below a just-popped constraint.
+    """Grow a node's constraint ``tree`` below a just-popped constraint.
 
-    The next unconstrained agent (per the node's agent ``order``) gets one
-    child per possible location. Nothing is added once every agent is pinned.
+    ``q`` is the node's configuration. The next unconstrained agent (per
+    the node's agent ``order``) gets one child per possible location.
+    Nothing is added once every agent is pinned.
     """
-    n = len(node.config)
-    if constraint.depth >= n:
+    if constraint.depth >= len(q):
         return
     agent = order[constraint.depth]
-    here = node.config[agent]
+    here = q[agent]
     depth = constraint.depth + 1
-    append = node.tree.append
+    append = tree.append
     for u in (*graph.adjacency[here], here):
         append(Constraint(parent=constraint, who=agent, where=u, depth=depth))
 
@@ -193,16 +237,16 @@ def pins_from_constraint(constraint: Constraint) -> dict[int, int]:
 
 
 def generate_configuration(
-    node: HighLevelNode, constraint: Constraint, ctx: PibtContext, order: list[int]
+    q: Config, constraint: Constraint, ctx: PibtContext, order: list[int]
 ) -> Config | None:
-    """Run the step generator in ``order`` under the constraint's pins.
+    """Run the step generator from ``q`` in ``order`` under the constraint's pins.
 
     Returns None on failure. Mutually colliding or off-neighborhood pins
     (the constraint tree does enumerate such combinations) are rejected as
     None rather than raised.
     """
     try:
-        return plan_step(ctx, node.config, pins_from_constraint(constraint), order)
+        return plan_step(ctx, q, pins_from_constraint(constraint), order)
     except PinError:
         return None
 
@@ -241,8 +285,12 @@ def rewire(
                         open_stack.append(nt)
 
 
-def backtrack(node: HighLevelNode) -> Solution:
-    """Configuration sequence from the start to ``node`` via parent links."""
+def backtrack(node: HighLevelNode, unpack: Callable[[bytes], Config]) -> Solution:
+    """Configuration sequence from the start to ``node`` via parent links.
+
+    ``unpack`` turns a node's packed configuration into the returned
+    tuple; the search passes :func:`config_codec`'s ``unpack_shared``.
+    """
     configs: list[Config] = []
     seen: set[int] = set()
     cur: HighLevelNode | None = node
@@ -250,19 +298,22 @@ def backtrack(node: HighLevelNode) -> Solution:
         if id(cur) in seen:
             raise RuntimeError("parent chain contains a cycle")
         seen.add(id(cur))
-        configs.append(cur.config)
+        configs.append(unpack(cur.config))
         cur = cur.parent
     configs.reverse()
     return Solution(configs=configs)
 
 
 def _reference_g_values(
-    start: HighLevelNode, objective: Objective, goals: Config
+    start: HighLevelNode,
+    objective: Objective,
+    goals: Config,
+    unpack: Callable[[bytes], Config],
 ) -> dict[HighLevelNode, int]:
     """Independent Dijkstra over the discovered arcs.
 
-    Every arc's cost is recomputed from the two configurations and must
-    equal the weight stored with the arc.
+    Every arc's cost is recomputed from the two configurations, unpacked
+    with ``unpack``, and must equal the weight stored with the arc.
     """
     dist: dict[HighLevelNode, int] = {start: 0}
     ecost = edge_cost_fn(objective, goals)
@@ -272,11 +323,13 @@ def _reference_g_values(
         d, _, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
+        q = unpack(node.config)
         for nxt, stored in node.neighbors.items():
-            cost = ecost(node.config, nxt.config)
+            q_next = unpack(nxt.config)
+            cost = ecost(q, q_next)
             if cost != stored:
                 raise AssertionError(
-                    f"arc weight drift {node.config} -> {nxt.config}: "
+                    f"arc weight drift {q} -> {q_next}: "
                     f"stored {stored}, recomputed {cost}"
                 )
             nd = d + cost
@@ -286,12 +339,17 @@ def _reference_g_values(
     return dist
 
 
-def _assert_g_consistent(start: HighLevelNode, objective: Objective, goals: Config) -> None:
+def _assert_g_consistent(
+    start: HighLevelNode,
+    objective: Objective,
+    goals: Config,
+    unpack: Callable[[bytes], Config],
+) -> None:
     """Check every g-value reachable from ``start`` against the reference."""
-    for node, expect in _reference_g_values(start, objective, goals).items():
+    for node, expect in _reference_g_values(start, objective, goals, unpack).items():
         if node.g != expect:
             raise AssertionError(
-                f"g-value drift at {node.config}: stored {node.g}, "
+                f"g-value drift at {unpack(node.config)}: stored {node.g}, "
                 f"shortest path {expect}"
             )
 
@@ -306,7 +364,8 @@ class _Search:
 
     __slots__ = (
         "started", "opts", "stats", "ctx", "ecost",
-        "root", "root_order", "order_node", "order",
+        "pack", "unpack", "unpack_shared", "goal_config",
+        "root", "root_order", "order_node", "order", "q",
         "open_stack", "explored", "goal_node",
     )
 
@@ -319,31 +378,35 @@ class _Search:
             instance.grid, instance.goals, seed=opts.seed, swap_enabled=opts.swap_enabled
         )
         self.ecost = edge_cost_fn(opts.objective, instance.goals)
+        self.pack, self.unpack, self.unpack_shared = config_codec(instance.grid, instance.n)
+        self.goal_config = self.pack(instance.goals)
         dist_tables = self.ctx.dist_tables
         self.root = HighLevelNode(
-            config=instance.starts,
+            config=self.pack(instance.starts),
             tree=[_NO_PINS],
             popped=0,
             parent=None,
             neighbors={},
             g=0,
             h=heuristic(opts.objective, instance.starts, dist_tables),
-            steps=array("I", [0]) * instance.n,
+            steps=array("H", [0]) * instance.n,
         )
         # The root's order is not the step order of its all-zero counts.
         self.root_order = get_init_order(instance, dist_tables)
-        # The last expanded node and its order: after a failed generator
-        # call the same node is expanded again at once.
+        # The last expanded node, its order and its unpacked configuration:
+        # after a failed generator call the same node is expanded again at once.
         self.order_node: HighLevelNode | None = None
         self.order: list[int] = []
+        self.q: Config = ()
         self.open_stack: list[HighLevelNode] = []
-        self.explored: dict[Config, HighLevelNode] = {}
+        # Keyed by packed configuration, as each node's ``config``.
+        self.explored: dict[bytes, HighLevelNode] = {}
         self.goal_node: HighLevelNode | None = None
         # A start cut off from its goal (h is INF_COST) leaves the open list
         # empty, so the search ends exhausted without a goal: NO_SOLUTION.
         if self.root.h < INF_COST:
             self.open_stack.append(self.root)
-            self.explored[instance.starts] = self.root
+            self.explored[self.root.config] = self.root
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started) * 1000.0
@@ -359,7 +422,9 @@ class _Search:
         """Record the goal node's g; called when it is found or lowered."""
         self.stats.trace.append((self.elapsed_ms(), goal_node.g))
         if self.opts.improvement_callback is not None:
-            self.opts.improvement_callback(goal_node.g, backtrack(goal_node))
+            self.opts.improvement_callback(
+                goal_node.g, backtrack(goal_node, self.unpack_shared)
+            )
 
     def step(self) -> bool:
         """Run one iteration; False once a non-anytime search has a solution."""
@@ -367,11 +432,13 @@ class _Search:
         open_stack = self.open_stack
         self.stats.iterations += 1
         if opts.debug_check_g:
-            _assert_g_consistent(self.root, opts.objective, self.ctx.goals)
+            _assert_g_consistent(
+                self.root, opts.objective, self.ctx.goals, self.unpack
+            )
 
         node = open_stack[-1]
 
-        if self.goal_node is None and node.config == self.ctx.goals:
+        if self.goal_node is None and node.config == self.goal_config:
             self.goal_node = node
             self.report_incumbent(node)
             if not opts.anytime:
@@ -395,25 +462,28 @@ class _Search:
         if node is not self.order_node:
             self.order_node = node
             self.order = self.root_order if node is self.root else step_order(node.steps)
+            self.q = self.unpack(node.config)
         order = self.order
+        q = self.q
 
         constraint = tree[popped]
         popped += 1
-        low_level_expand(node, constraint, self.ctx.graph, order)
+        low_level_expand(tree, q, constraint, self.ctx.graph, order)
         if popped == len(tree):
             # Spent: free the constraints that no child refers to. The
             # node still reads as exhausted.
             tree.clear()
             popped = 0
         node.popped = popped
-        q_new = generate_configuration(node, constraint, self.ctx, order)
+        q_new = generate_configuration(q, constraint, self.ctx, order)
         if q_new is None:
             return True
 
-        known = self.explored.get(q_new)
+        packed = self.pack(q_new)
+        known = self.explored.get(packed)
         if known is not None:
             if known not in node.neighbors:
-                weight = self.ecost(node.config, q_new)
+                weight = self.ecost(q, q_new)
                 node.neighbors[known] = weight
                 # g-values are shortest over the arcs recorded before this
                 # one, so only an arc that lowers known.g can change any.
@@ -430,9 +500,9 @@ class _Search:
                 open_stack.append(known)
         else:
             steps = step_counts(node.steps, q_new, self.ctx.goals)
-            weight = self.ecost(node.config, q_new)
+            weight = self.ecost(q, q_new)
             child = HighLevelNode(
-                config=q_new,
+                config=packed,
                 tree=[_NO_PINS],
                 popped=0,
                 parent=node,
@@ -442,7 +512,7 @@ class _Search:
                 steps=steps,
             )
             node.neighbors[child] = weight
-            self.explored[q_new] = child
+            self.explored[packed] = child
             open_stack.append(child)
         return True
 
@@ -454,7 +524,8 @@ class _Search:
         goal_node = self.goal_node
         if goal_node is not None:
             status = SolveStatus.OPTIMAL if exhausted else SolveStatus.SUBOPTIMAL
-            return SolveOutcome(status, backtrack(goal_node), goal_node.g, stats)
+            solution = backtrack(goal_node, self.unpack_shared)
+            return SolveOutcome(status, solution, goal_node.g, stats)
         status = SolveStatus.NO_SOLUTION if exhausted else SolveStatus.FAILURE
         return SolveOutcome(status, None, None, stats)
 

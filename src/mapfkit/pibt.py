@@ -38,10 +38,14 @@ def step_counts(previous: Sequence[int], q: Config, goals: Config) -> array:
     """Per agent, the steps taken since it last stood on its goal, at ``q``.
 
     An agent off its goal gains one, an agent on it starts over at zero. The
-    counts are packed as ``'I'``: a long run can keep an agent off its goal
-    for more than 65,535 steps.
+    counts are packed as ``'H'``, and as ``'I'`` while any count is above
+    65,535: a long run can keep an agent off its goal that long.
     """
-    return array("I", [s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)])
+    counts = [s + 1 if v != goal else 0 for s, v, goal in zip(previous, q, goals)]
+    try:
+        return array("H", counts)
+    except OverflowError:
+        return array("I", counts)
 
 
 def step_order(steps: Sequence[int]) -> list[int]:
@@ -82,7 +86,7 @@ class PibtContext:
         self.n = len(self.goals)
         self.rng = random.Random(seed)
         self.swap_enabled = swap_enabled
-        self.steps = array("I", [0]) * self.n
+        self.steps = array("H", [0]) * self.n
         self.dist_tables = [grid.bfs_dist_table(graph, g) for g in self.goals]
         # Candidate lists are at most one longer than the largest degree.
         self._shuffle_steps = _shuffle_step_table(

@@ -117,6 +117,11 @@ class TestExperimentConfig:
         assert ExperimentConfig().variants == (bench.VARIANTS["full"],)
         assert bench.VARIANTS["full"] == SolverVariant("full")
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_objective_value_stored_as_member(self, objective):
+        assert ExperimentConfig(objective=objective.value).objective is objective
+        assert ExperimentConfig(objective=objective).objective is objective
+
 
 class TestRunSuite:
     def test_single_run_single_record(self, tmp_path):

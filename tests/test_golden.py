@@ -70,14 +70,16 @@ SEARCHED_VERTICES = 45927
 # and ~1,410; integer step counts and a list queue that is cleared once
 # spent ~3,300 and ~780 (~1,260 if spent queues were kept); an agent order
 # derived when a node is popped, packed step counts and one shared root
-# constraint ~2,020 and ~650.
-ANYTIME_NODE_BYTES_BOUND = 2500
+# constraint ~2,020 and ~650; configurations packed into bytes and 16-bit
+# step counts ~1,170 and ~620.
+ANYTIME_NODE_BYTES_BOUND = 1400
 EXHAUSTIVE_NODES = 1191
-EXHAUSTIVE_NODE_BYTES_BOUND = 720
+EXHAUSTIVE_NODE_BYTES_BOUND = 625
 # ``tools/output_digest.py --seed 11 dense-anytime small-exhaustive``: the
 # digests that identical-outputs claims compare, over the benchmark's 20
 # dense solves (150 agents planned per generator call) and 120 small ones.
 OUTPUT_DIGEST_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+AB_TOOL = OUTPUT_DIGEST_TOOL.with_name("ab.py")
 DENSE_ANYTIME_DIGEST = "d19d5d7d05c27dff34944fc46fe3a66edcaaddba6c537cf5e022d87d9fe4fe61"
 SMALL_EXHAUSTIVE_DIGEST = "1dbe57d57ce00e1b34cba545ad727afa09bdc9af7527f811d3019ce12656beaf"
 OUTPUT_DIGEST_ALL = "ac3235f640c91b7ab80c880d5665b3b68fa34864b47812abba1c2e84bef02117"
@@ -342,3 +344,19 @@ def test_output_digest_tool():
         f"small-exhaustive\t120 solves\t{SMALL_EXHAUSTIVE_DIGEST}",
         f"all\t140 solves\t{OUTPUT_DIGEST_ALL}",
     ]
+
+
+def test_ab_tool_one_round():
+    # The same tree on both sides: the digests agree, and are the ones
+    # tools/output_digest.py prints.
+    src = Path(grid.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(AB_TOOL), str(src), str(src), "small-exhaustive", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    lines = out.splitlines()
+    assert lines[0] == "small-exhaustive: 120 solves, seed 11"
+    assert lines[2].startswith("1\tparent\t")
+    assert lines[-1] == f"digests agree\t{SMALL_EXHAUSTIVE_DIGEST}"

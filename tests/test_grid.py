@@ -107,6 +107,13 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             grid.degree(-1)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_neighbour_outside_the_graph_rejected(self, bad):
+        # -1 used to wrap to the last vertex, and ids past the end failed
+        # only once a solve read them.
+        with pytest.raises(ValueError, match=f"vertex 1 has neighbour {bad}"):
+            VertexGraph([(1,), (0, bad)])
+
     def test_symmetry_on_random_maps(self):
         rng = random.Random(5)
         for _ in range(20):

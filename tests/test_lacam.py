@@ -18,6 +18,7 @@ from mapfkit import (
     PibtContext,
     SolveStatus,
     SolverOptions,
+    VertexGraph,
     backtrack,
     optimal_cost,
     parse_map,
@@ -31,6 +32,7 @@ import mapfkit.lacam as lacam
 from mapfkit.core import edge_cost_fn
 from mapfkit.lacam import (
     Constraint,
+    config_codec,
     generate_configuration,
     low_level_expand,
     pins_from_constraint,
@@ -46,8 +48,10 @@ def open_grid(w: int, h: int) -> GridMap:
 
 
 def make_node(config, g=0, h=0, steps=None):
+    # Vertex ids below 256 pack one byte each, as the search packs them on
+    # graphs of at most 256 vertices; ``tuple(node.config)`` unpacks.
     return HighLevelNode(
-        config=config,
+        config=bytes(config),
         tree=[Constraint()],
         popped=0,
         parent=None,
@@ -138,7 +142,7 @@ class TestLowLevelExpand:
         node = make_node((1, 0))
         root = node.tree[node.popped]
         node.popped += 1
-        low_level_expand(node, root, grid, [0, 1])
+        low_level_expand(node.tree, (1, 0), root, grid, [0, 1])
         children = node.tree[node.popped:]
         assert len(children) == 3  # agent 0 sits on a degree-2 cell
         assert all(c.who == 0 and c.depth == 1 and c.parent is root for c in children)
@@ -149,7 +153,7 @@ class TestLowLevelExpand:
         c1 = Constraint(parent=node.tree[0], who=0, where=0, depth=1)
         c2 = Constraint(parent=c1, who=1, where=1, depth=2)
         node.tree.clear()
-        low_level_expand(node, c2, grid, [0, 1])
+        low_level_expand(node.tree, (1, 0), c2, grid, [0, 1])
         assert len(node.tree) == 0
 
     def test_agents_distinct_along_chain(self):
@@ -158,11 +162,11 @@ class TestLowLevelExpand:
         order = [2, 0, 1]
         root = node.tree[node.popped]
         node.popped += 1
-        low_level_expand(node, root, grid, order)
+        low_level_expand(node.tree, (0, 4, 8), root, grid, order)
         child = node.tree[node.popped]
-        low_level_expand(node, child, grid, order)
+        low_level_expand(node.tree, (0, 4, 8), child, grid, order)
         grandchild = next(c for c in node.tree if c.parent is child)
-        low_level_expand(node, grandchild, grid, order)
+        low_level_expand(node.tree, (0, 4, 8), grandchild, grid, order)
         great = next(c for c in node.tree if c.parent is grandchild)
         chain_agents = list(pins_from_constraint(great))
         assert sorted(chain_agents) == [0, 1, 2]
@@ -220,9 +224,12 @@ class TestDerivedOrder:
         calls = []
         original = lacam.generate_configuration
 
-        def recording(node, constraint, ctx, order):
+        def recording(q, constraint, ctx, order):
+            # The expanded node stays on top of the open stack.
+            node = search.open_stack[-1]
+            assert q == search.unpack(node.config)
             calls.append((node, list(order)))
-            return original(node, constraint, ctx, order)
+            return original(q, constraint, ctx, order)
 
         monkeypatch.setattr(lacam, "generate_configuration", recording)
         search = lacam._Search(
@@ -243,29 +250,26 @@ class TestGenerateConfiguration:
     def test_root_constraint_always_produces(self, tunnel_instance):
         grid = tunnel_instance.grid
         ctx = PibtContext(grid, tunnel_instance.goals, seed=0)
-        node = make_node(tunnel_instance.starts, steps=(1, 0))
         order = [0, 1]
-        q = generate_configuration(node, Constraint(), ctx, order)
+        q = generate_configuration(tunnel_instance.starts, Constraint(), ctx, order)
         assert q is not None
 
     def test_colliding_pins_give_none(self, tunnel_instance):
         grid = tunnel_instance.grid
         ctx = PibtContext(grid, tunnel_instance.goals, seed=0)
-        node = make_node(tunnel_instance.starts, steps=(1, 0))
         root = Constraint()
         c1 = Constraint(parent=root, who=0, where=4, depth=1)
         c2 = Constraint(parent=c1, who=1, where=4, depth=2)
-        assert generate_configuration(node, c2, ctx, [0, 1]) is None
+        assert generate_configuration(tunnel_instance.starts, c2, ctx, [0, 1]) is None
 
     def test_pin_is_honored(self, branch_graph):
         # crossing scenario with the middle agent pinned to the junction
         goals = (4, 1, 0)
         ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)
-        node = make_node((3, 0, 2), steps=(3, 2, 1))
         order = [0, 1, 2]
         root = Constraint()
         pin = Constraint(parent=root, who=2, where=1, depth=1)
-        q = generate_configuration(node, pin, ctx, order)
+        q = generate_configuration((3, 0, 2), pin, ctx, order)
         assert q is not None and q[2] == 1
 
 
@@ -287,11 +291,11 @@ class TestRewire:
             (n0, n2), (n2, n3), (n3, n4), (n4, n5), (n5, n6), (n6, n7), (n0, n8),
             (n4, n2), (n6, n3), (n3, n2), (n5, n4), (n6, n5),
         ]:
-            a.neighbors[b] = ecost(a.config, b.config)
+            a.neighbors[b] = ecost(tuple(a.config), tuple(b.config))
             if b.parent is None and b is not n0:
                 b.parent = a
 
-        n8.neighbors[n6] = ecost(n8.config, n6.config)
+        n8.neighbors[n6] = ecost(tuple(n8.config), tuple(n6.config))
         rewire(n8)
 
         assert [n.g for n in (n0, n2, n3, n4, n5, n6, n7, n8)] == [
@@ -306,10 +310,11 @@ class TestRewire:
         n0 = make_node((0,), g=0)
         n1 = make_node((1,), g=1)
         n2 = make_node((2,), g=2)
-        n0.neighbors[n1] = ecost(n0.config, n1.config)
-        n1.neighbors[n2] = ecost(n1.config, n2.config)
+        n0.neighbors[n1] = ecost(tuple(n0.config), tuple(n1.config))
+        n1.neighbors[n2] = ecost(tuple(n1.config), tuple(n2.config))
         n1.parent, n2.parent = n0, n1
-        n2.neighbors[n1] = ecost(n2.config, n1.config)  # arc back into a cheaper node
+        # An arc back into a cheaper node.
+        n2.neighbors[n1] = ecost(tuple(n2.config), tuple(n1.config))
         rewire(n2)
         assert (n0.g, n1.g, n2.g) == (0, 1, 2)
         assert n1.parent is n0
@@ -330,7 +335,7 @@ class TestRewire:
                 if d > dist.get(id(node), 1 << 60):
                     continue
                 for nxt in node.neighbors:
-                    nd = d + ecost(node.config, nxt.config)
+                    nd = d + ecost(tuple(node.config), tuple(nxt.config))
                     if nd < dist.get(id(nxt), 1 << 60):
                         dist[id(nxt)] = nd
                         heapq.heappush(heap, (nd, next(counter), nxt))
@@ -343,7 +348,7 @@ class TestRewire:
             # random connected base tree, arcs recorded in neighbors
             for i in range(1, k):
                 p = nodes[rng.randrange(i)]
-                p.neighbors[nodes[i]] = ecost(p.config, nodes[i].config)
+                p.neighbors[nodes[i]] = ecost(tuple(p.config), tuple(nodes[i].config))
             order = sorted(range(k), key=lambda i: 0)
             # settle initial g by waves from the root along tree arcs
             rewire(nodes[0])
@@ -351,7 +356,7 @@ class TestRewire:
                 a, b = rng.sample(nodes, 2)
                 if b in a.neighbors:
                     continue
-                a.neighbors[b] = ecost(a.config, b.config)
+                a.neighbors[b] = ecost(tuple(a.config), tuple(b.config))
                 rewire(a)
                 reference = full_dijkstra(nodes)
                 for node in nodes:
@@ -359,10 +364,56 @@ class TestRewire:
                     assert node.g == want
 
 
+class TestConfigCodec:
+    @pytest.mark.parametrize(
+        ("size", "width"), [(1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)]
+    )
+    def test_narrowest_width_round_trips(self, size, width):
+        pack, unpack, unpack_shared = config_codec(VertexGraph([()] * size), 3)
+        q = (size - 1, 0, size // 2)
+        packed = pack(q)
+        assert len(packed) == 3 * width
+        assert unpack(packed) == unpack_shared(packed) == q
+
+    def test_shared_ids_are_the_adjacency_rows_ints(self):
+        # Vertex 600 is named by no row and keeps an int of its own.
+        rows = [(v + 1,) for v in range(599)] + [(598,), ()]
+        graph = VertexGraph(rows)
+        pack, _, unpack_shared = config_codec(graph, 2)
+        q = unpack_shared(pack((500, 600)))
+        assert q == (500, 600)
+        assert q[0] is graph.adjacency[499][0]
+        assert unpack_shared(pack((600, 500)))[1] is q[0]
+
+
+class TestSolutionInts:
+    def test_anytime_solution_shares_vertex_ints(self):
+        grid = parse_map(fixture_text("random-32-32-20.map"))
+        starts, goals = parse_scenario(fixture_text("random-32-32-20.scen"), grid, 100)
+        instance = Instance(grid=grid, starts=starts, goals=goals)
+        reported = []
+        out = solve(
+            instance,
+            SolverOptions(
+                seed=5,
+                iteration_budget=300,
+                improvement_callback=lambda cost, solution: reported.append(solution),
+            ),
+        )
+        assert out.solution is not None and reported
+        for solution in (out.solution, *reported):
+            configs = solution.configs
+            assert all(type(q) is tuple for q in configs)
+            assert all(type(v) is int for q in configs for v in q)
+            # Unpacked ids above 256 would be new ints, one per cell.
+            assert len(configs) * instance.n > grid.num_vertices
+            assert len({id(v) for q in configs for v in q}) <= grid.num_vertices
+
+
 class TestBacktrack:
     def test_root_only(self):
         root = make_node((5,))
-        assert backtrack(root).configs == [(5,)]
+        assert backtrack(root, tuple).configs == [(5,)]
 
     def test_chain(self):
         a = make_node((0,))
@@ -370,14 +421,14 @@ class TestBacktrack:
         c = make_node((2,))
         d = make_node((3,))
         b.parent, c.parent, d.parent = a, b, c
-        assert backtrack(d).configs == [(0,), (1,), (2,), (3,)]
+        assert backtrack(d, tuple).configs == [(0,), (1,), (2,), (3,)]
 
     def test_cycle_detected(self):
         a = make_node((0,))
         b = make_node((1,))
         a.parent, b.parent = b, a
         with pytest.raises(RuntimeError, match="cycle"):
-            backtrack(a)
+            backtrack(a, tuple)
 
 
 class TestRestartPolicy:

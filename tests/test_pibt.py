@@ -107,6 +107,16 @@ class TestDynamicPriorities:
         assert list(steps) == [3, 3]
         assert step_order(steps) == [0, 1]
 
+    def test_counts_widen_past_16_bits_and_narrow_again(self):
+        goals = (0, 1)
+        steps = step_counts([65_534, 3], (2, 1), goals)
+        assert (steps.typecode, list(steps)) == ("H", [65_535, 0])
+        steps = step_counts(steps, (2, 3), goals)
+        assert (steps.typecode, list(steps)) == ("I", [65_536, 1])
+        assert step_order(steps) == [0, 1]
+        steps = step_counts(steps, (0, 3), goals)
+        assert (steps.typecode, list(steps)) == ("H", [0, 2])
+
     def test_update_priorities_reorders_processing(self, branch_graph):
         goals = (4, 1, 0)
         ctx = PibtContext(branch_graph, goals, seed=0, swap_enabled=False)

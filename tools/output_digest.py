@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,12 +31,13 @@ from mapfkit.grid import parse_map  # noqa: E402
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 
-def job_record(workload: str, job: dict) -> bytes:
-    """Solve one benchmark job and return the bytes its digest covers."""
+def job_record(workload: str, job: dict) -> tuple[bytes, float]:
+    """Solve one benchmark job: the bytes its digest covers, and the solve's CPU seconds."""
     grid = parse_map(Path(job["map"]).read_text())
     starts, goals = parse_scenario(Path(job["scen"]).read_text(), grid, job["n"])
     instance = Instance(grid=grid, starts=starts, goals=goals)
     improvements: list[int] = []
+    started = time.process_time()
     outcome = solve(
         instance,
         SolverOptions(
@@ -46,6 +48,7 @@ def job_record(workload: str, job: dict) -> bytes:
             improvement_callback=lambda cost, _solution: improvements.append(cost),
         ),
     )
+    cpu_s = time.process_time() - started
     head = [
         workload,
         job["key"],
@@ -56,7 +59,7 @@ def job_record(workload: str, job: dict) -> bytes:
         improvements,
     ]
     text = format_solution(outcome.solution, grid) if outcome.solution is not None else ""
-    return (json.dumps(head) + "\n" + text + "\n").encode()
+    return (json.dumps(head) + "\n" + text + "\n").encode(), cpu_s
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
             digest = hashlib.sha256()
             jobs = write_inputs(WORKLOADS[name], args.seed, Path(tmp) / name)
             for job in jobs:
-                record = job_record(name, job)
+                record, _ = job_record(name, job)
                 digest.update(record)
                 overall.update(record)
             solves += len(jobs)
